@@ -3,7 +3,8 @@
 Subcommands: solve, verify, reduce, lift, gen, bench.  Exit codes: 0 for a
 decided instance or a valid certificate, 1 for an invalid certificate, 2
 for usage and semantic errors, 3 for malformed input text, 4 when an
-instance exceeds a solver cap or the machine's memory.
+instance exceeds a solver cap or the machine's memory, 5 when a certificate
+the program produced failed its own check; nothing was written.
 """
 
 from __future__ import annotations
@@ -11,12 +12,14 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .bench import run_bench
 from .core import is_complete, positive_part, verify_embedding
 from .errors import (
     CapExceededError,
+    InfeasibleOrderingError,
+    InternalError,
     LineEmbedError,
     ParseError,
 )
@@ -50,13 +53,12 @@ from .generators import (
 )
 from .intervals import model_intersection_graph, ordering_to_model, solve_complete
 from .reductions import (
-    AdpToLceMapping,
     SatToLceMapping,
     SatToSsMapping,
     SsToAdpMapping,
     adp_to_lce,
     adp_violation,
-    eval_cnf,
+    build_set_system,
     lift_adp_to_setsplitting,
     lift_lce_to_adp,
     lift_lce_to_sat,
@@ -66,7 +68,6 @@ from .reductions import (
     setsplitting_to_adp,
     unsplit_set_index,
     verify_adp,
-    verify_setsplitting,
 )
 from .solvers import solve_bruteforce, solve_subset_dp
 
@@ -94,10 +95,141 @@ def _cert_kind(text: str, source: str) -> str:
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
             continue
-        if tokens[0] in ("o", "i", "x", "part", "v"):
+        if tokens[0] in _certs():
             return tokens[0]
         raise ParseError(f"unknown certificate line kind {tokens[0]!r}", source)
     raise ParseError("empty certificate", source)
+
+
+# ---------------------------------------------------------------------------
+# Certificate checks
+# ---------------------------------------------------------------------------
+#
+# One checker per certificate kind.  A checker takes the instance, the
+# certificate and the certificate's source name; it raises ParseError when
+# the certificate's size does not fit the instance and returns None for a
+# valid certificate, else the reason it is invalid.  `verify` prints that
+# result, and `solve` and `lift` run the same checker once on every
+# certificate they produce, before anything is written.
+
+
+def _check_ordering(g, ordering, source) -> Optional[str]:
+    if ordering is None:
+        raise UsageError(
+            "an infeasibility claim cannot be checked against the instance"
+        )
+    if len(ordering) != g.n:
+        raise ParseError(
+            f"ordering lists {len(ordering)} vertices, instance has {g.n}", source
+        )
+    vio = verify_embedding(g, ordering).violation
+    if vio is None:
+        return None
+    return (
+        f"vertex {vio.u} sees positive neighbour {vio.u1} beyond "
+        f"negative neighbour {vio.u2} on its {vio.side}"
+    )
+
+
+def _check_model(g, model, source) -> Optional[str]:
+    if model.n != g.n:
+        raise ParseError(f"model covers {model.n} vertices, instance has {g.n}", source)
+    if not is_complete(g):
+        return "instance is not a complete signed graph"
+    model.validate()  # parse_model_cert validates too; a built model needs it here
+    if model_intersection_graph(model) != positive_part(g):
+        return "interval intersections do not match the positive edges"
+    return None
+
+
+def _check_splitter(sys_inst, x, source) -> Optional[str]:
+    try:
+        missed = unsplit_set_index(sys_inst, x)
+    except LineEmbedError as exc:
+        return str(exc)
+    return None if missed is None else f"set {missed} is not split"
+
+
+def _check_partition(digraph, part, source) -> Optional[str]:
+    covered = len(part.part1) + len(part.part2)
+    if covered != digraph.n:
+        raise ParseError(
+            f"partition covers {covered} vertices, instance has {digraph.n}", source
+        )
+    vio = adp_violation(digraph, part)
+    if vio is None:
+        return None
+    side, cycle = vio
+    return f"part {side} contains the cycle " + " ".join(str(v) for v in cycle)
+
+
+def _check_assignment(cnf, assignment, source) -> Optional[str]:
+    if len(assignment.values) != cnf.num_vars:
+        raise ParseError(
+            f"assignment covers {len(assignment.values)} variables, "
+            f"instance has {cnf.num_vars}",
+            source,
+        )
+    for idx, clause in enumerate(cnf.clauses, start=1):
+        if not any((lit > 0) == assignment.value(abs(lit)) for lit in clause):
+            return f"clause {idx} is falsified"
+    return None
+
+
+class _CertKind(NamedTuple):
+    name: str
+    instance: str  # the instance kind this certificate kind applies to
+    parse_instance: Callable
+    parse: Callable
+    serialize: Callable
+    check: Callable
+
+
+def _certs() -> dict[str, _CertKind]:
+    """Certificate kind -> how to read, write and check it.  Built per call,
+    so a function replaced after import (a test fake, a tracer) is used."""
+    return {
+        "o": _CertKind(
+            "ordering", "sg", parse_signed_graph, parse_ordering_cert,
+            serialize_ordering_cert, _check_ordering,
+        ),
+        "i": _CertKind(
+            "interval model", "sg", parse_signed_graph, parse_model_cert,
+            serialize_model_cert, _check_model,
+        ),
+        "x": _CertKind(
+            "splitter", "ss", parse_set_system, parse_splitter_cert,
+            serialize_splitter_cert, _check_splitter,
+        ),
+        "part": _CertKind(
+            "partition", "dg", parse_digraph, parse_partition_cert,
+            serialize_partition_cert, _check_partition,
+        ),
+        "v": _CertKind(
+            "assignment", "cnf", parse_cnf, parse_assignment_cert,
+            serialize_assignment_cert, _check_assignment,
+        ),
+    }
+
+
+def _check_out(kind: str, instance, cert) -> None:
+    """Raise InternalError unless a certificate this program produced passes
+    the check `verify` would run on it."""
+    try:
+        problem = _certs()[kind].check(instance, cert, None)
+    except LineEmbedError as exc:
+        problem = str(exc)
+    if problem is not None:
+        raise InternalError(
+            f"the {_certs()[kind].name} certificate this program produced failed "
+            f"its check, nothing was written: {problem}"
+        )
+
+
+def _emit_checked(kind: str, instance, cert, out: Optional[str]) -> int:
+    _check_out(kind, instance, cert)
+    _emit(_certs()[kind].serialize(cert), out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -123,16 +255,19 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         ordering = (
             solve_subset_dp(g) if args.cap is None else solve_subset_dp(g, cap=args.cap)
         )
-    if ordering is not None:
-        # Independent re-check before anything is printed.
-        res = verify_embedding(g, ordering)
-        assert res.valid, f"solver returned a bad ordering: {res.violation}"
     if args.model is not None:
         if not is_complete(g):
             raise UsageError("--model needs a complete signed graph")
         if ordering is None:
             raise UsageError("--model needs a feasible instance")
-        _emit(serialize_model_cert(ordering_to_model(g, ordering)), args.model)
+        try:
+            model = ordering_to_model(g, ordering)  # the ordering's one check
+        except InfeasibleOrderingError:
+            _check_out("o", g, ordering)  # fails, naming the violation
+            raise
+        _emit_checked("i", g, model, args.model)
+    elif ordering is not None:
+        _check_out("o", g, ordering)
     _emit(serialize_ordering_cert(ordering), args.out)
     return 0
 
@@ -142,123 +277,23 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _verify_ordering(g, cert_text: str, cert_source: str) -> int:
-    ordering = parse_ordering_cert(cert_text, cert_source)
-    if ordering is None:
-        raise UsageError(
-            "an infeasibility claim cannot be checked against the instance"
-        )
-    if len(ordering) != g.n:
-        raise ParseError(
-            f"ordering lists {len(ordering)} vertices, instance has {g.n}",
-            cert_source,
-        )
-    res = verify_embedding(g, ordering)
-    if res.valid:
-        print("VALID")
-        return 0
-    vio = res.violation
-    print(
-        f"INVALID: vertex {vio.u} sees positive neighbour {vio.u1} beyond "
-        f"negative neighbour {vio.u2} on its {vio.side}"
-    )
-    return 1
-
-
-def _verify_model(g, cert_text: str, cert_source: str) -> int:
-    model = parse_model_cert(cert_text, cert_source)
-    if model.n != g.n:
-        raise ParseError(
-            f"model covers {model.n} vertices, instance has {g.n}", cert_source
-        )
-    if not is_complete(g):
-        print("INVALID: instance is not a complete signed graph")
-        return 1
-    if model_intersection_graph(model) != positive_part(g):
-        print("INVALID: interval intersections do not match the positive edges")
-        return 1
-    print("VALID")
-    return 0
-
-
-def _verify_splitter(sys_inst, cert_text: str, cert_source: str) -> int:
-    x = parse_splitter_cert(cert_text, cert_source)
-    try:
-        missed = unsplit_set_index(sys_inst, x)
-    except LineEmbedError as exc:
-        print(f"INVALID: {exc}")
-        return 1
-    if missed is None:
-        print("VALID")
-        return 0
-    print(f"INVALID: set {missed} is not split")
-    return 1
-
-
-def _verify_partition(digraph, cert_text: str, cert_source: str) -> int:
-    part = parse_partition_cert(cert_text, cert_source)
-    if len(part.part1) + len(part.part2) != digraph.n:
-        raise ParseError(
-            f"partition covers {len(part.part1) + len(part.part2)} vertices, "
-            f"instance has {digraph.n}",
-            cert_source,
-        )
-    vio = adp_violation(digraph, part)
-    if vio is None:
-        print("VALID")
-        return 0
-    side, cycle = vio
-    print(
-        f"INVALID: part {side} contains the cycle "
-        + " ".join(str(v) for v in cycle)
-    )
-    return 1
-
-
-def _verify_assignment(cnf, cert_text: str, cert_source: str) -> int:
-    assignment = parse_assignment_cert(cert_text, cert_source)
-    if len(assignment.values) != cnf.num_vars:
-        raise ParseError(
-            f"assignment covers {len(assignment.values)} variables, "
-            f"instance has {cnf.num_vars}",
-            cert_source,
-        )
-    for idx, clause in enumerate(cnf.clauses, start=1):
-        if not any((lit > 0) == assignment.value(abs(lit)) for lit in clause):
-            print(f"INVALID: clause {idx} is falsified")
-            return 1
-    print("VALID")
-    return 0
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     inst_text, inst_source = _read(args.instance)
     cert_text, cert_source = _read(args.cert)
     kind = instance_kind(inst_text, inst_source)
     cert = _cert_kind(cert_text, cert_source)
-    if kind == "sg" and cert == "o":
-        return _verify_ordering(
-            parse_signed_graph(inst_text, inst_source), cert_text, cert_source
+    spec = _certs()[cert]
+    if kind != spec.instance:
+        raise UsageError(
+            f"certificate kind {cert!r} does not apply to instance kind {kind!r}"
         )
-    if kind == "sg" and cert == "i":
-        return _verify_model(
-            parse_signed_graph(inst_text, inst_source), cert_text, cert_source
-        )
-    if kind == "ss" and cert == "x":
-        return _verify_splitter(
-            parse_set_system(inst_text, inst_source), cert_text, cert_source
-        )
-    if kind == "dg" and cert == "part":
-        return _verify_partition(
-            parse_digraph(inst_text, inst_source), cert_text, cert_source
-        )
-    if kind == "cnf" and cert == "v":
-        return _verify_assignment(
-            parse_cnf(inst_text, inst_source), cert_text, cert_source
-        )
-    raise UsageError(
-        f"certificate kind {cert!r} does not apply to instance kind {kind!r}"
+    problem = spec.check(
+        spec.parse_instance(inst_text, inst_source),
+        spec.parse(cert_text, cert_source),
+        cert_source,
     )
+    print("VALID" if problem is None else f"INVALID: {problem}")
+    return 0 if problem is None else 1
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +343,11 @@ def _cmd_lift(args: argparse.Namespace) -> int:
         if cert != "x":
             raise UsageError("a sat2ss mapping lifts a splitter certificate")
         x = parse_splitter_cert(cert_text, cert_source)
-        sys_inst, _ = sat_to_setsplitting(mapping.formula())
-        try:
-            ok = verify_setsplitting(sys_inst, x)
-        except LineEmbedError:
-            ok = False
-        if not ok:
+        cnf = mapping.formula()
+        if _check_splitter(sat_to_setsplitting(cnf)[0], x, cert_source) is not None:
             print("INVALID: certificate does not split the gadget system")
             return 1
-        _emit(serialize_assignment_cert(lift_setsplitting_to_sat(x, mapping)), args.out)
-        return 0
+        return _emit_checked("v", cnf, lift_setsplitting_to_sat(x, mapping), args.out)
 
     if isinstance(mapping, SsToAdpMapping):
         if cert != "part":
@@ -333,8 +363,10 @@ def _cmd_lift(args: argparse.Namespace) -> int:
         if not verify_adp(digraph, part):
             print("INVALID: a part of the certificate is cyclic in the gadget")
             return 1
-        _emit(serialize_splitter_cert(lift_adp_to_setsplitting(part, mapping)), args.out)
-        return 0
+        source_inst = build_set_system(mapping.universe_size, mapping.sets())
+        return _emit_checked(
+            "x", source_inst, lift_adp_to_setsplitting(part, mapping), args.out
+        )
 
     # adp2lce and the composed chain both lift an ordering certificate.
     if cert != "o":
@@ -353,10 +385,12 @@ def _cmd_lift(args: argparse.Namespace) -> int:
         print("INVALID: certificate is not a feasible ordering of the gadget")
         return 1
     if isinstance(mapping, SatToLceMapping):
-        _emit(serialize_assignment_cert(lift_lce_to_sat(ordering, mapping)), args.out)
-    else:
-        _emit(serialize_partition_cert(lift_lce_to_adp(ordering, mapping)), args.out)
-    return 0
+        return _emit_checked(
+            "v", mapping.sat2ss.formula(), lift_lce_to_sat(ordering, mapping), args.out
+        )
+    return _emit_checked(
+        "part", mapping.source_digraph(), lift_lce_to_adp(ordering, mapping), args.out
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +546,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except InternalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     except MemoryError:
         # The subset DP table is 2^n entries; the 64-vertex cap is a bitmask
         # width limit, not a promise that the table fits in memory.

@@ -49,11 +49,7 @@ class Graph:
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
         """Sorted adjacency lists, index 0 unused."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(b)) for b in nbrs)
+        return _adjacency(self.n, self.edges)
 
     @property
     def m(self) -> int:
@@ -276,31 +272,21 @@ def verify_embedding(g: SignedGraph, ordering: Ordering) -> VerificationResult:
     rank = ordering.rank_array
     hi = np.int64(n + 1)
 
-    def _side_extremes(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # For each vertex: min rank among its left neighbours in arr,
-        # max rank among its right neighbours in arr.
+    def _side_extremes(arr: np.ndarray, far: bool) -> tuple[np.ndarray, np.ndarray]:
+        # For each vertex, the rank of its farthest (far=True) or nearest
+        # (far=False) neighbour in arr on its left, and likewise on its right.
         centers = np.concatenate([arr[:, 0], arr[:, 1]])
-        others = np.concatenate([arr[:, 1], arr[:, 0]])
-        c_rank = rank[centers]
-        o_rank = rank[others]
-        left = o_rank < c_rank
-        min_left = np.full(n + 1, hi, dtype=np.int64)
-        max_right = np.zeros(n + 1, dtype=np.int64)
-        np.minimum.at(min_left, centers[left], o_rank[left])
-        np.maximum.at(max_right, centers[~left], o_rank[~left])
-        return min_left, max_right
+        o_rank = rank[np.concatenate([arr[:, 1], arr[:, 0]])]
+        left = o_rank < rank[centers]
+        ops = (np.minimum, np.maximum) if far else (np.maximum, np.minimum)
+        left_ext = np.full(n + 1, hi if far else 0, dtype=np.int64)
+        right_ext = np.full(n + 1, 0 if far else hi, dtype=np.int64)
+        ops[0].at(left_ext, centers[left], o_rank[left])
+        ops[1].at(right_ext, centers[~left], o_rank[~left])
+        return left_ext, right_ext
 
-    min_pos_left, max_pos_right = _side_extremes(g.pos_array)
-    # For the negative side the roles flip: need max on the left, min on right.
-    max_neg_left = np.zeros(n + 1, dtype=np.int64)
-    min_neg_right = np.full(n + 1, hi, dtype=np.int64)
-    narr = g.neg_array
-    if narr.shape[0]:
-        centers = np.concatenate([narr[:, 0], narr[:, 1]])
-        others = np.concatenate([narr[:, 1], narr[:, 0]])
-        left = rank[others] < rank[centers]
-        np.maximum.at(max_neg_left, centers[left], rank[others][left])
-        np.minimum.at(min_neg_right, centers[~left], rank[others][~left])
+    min_pos_left, max_pos_right = _side_extremes(g.pos_array, far=True)
+    max_neg_left, min_neg_right = _side_extremes(g.neg_array, far=False)
 
     left_bad = min_pos_left < max_neg_left
     right_bad = max_pos_right > min_neg_right

@@ -45,6 +45,10 @@ class ReductionError(LineEmbedError, ValueError):
     """Invalid input to a reduction or solution-mapping operation."""
 
 
+class InternalError(LineEmbedError, RuntimeError):
+    """A certificate the program produced failed its own check."""
+
+
 class ParseError(LineEmbedError, ValueError):
     """Malformed instance or certificate text.
 

@@ -104,9 +104,9 @@ def ordering_to_model(g: SignedGraph, ordering: Ordering) -> IntervalModel:
 
     Vertex v gets [pi(v), pi(v_last) + pi(v)/(n+1)] where v_last is the
     latest vertex of its closed positive neighbourhood; all arithmetic is
-    over Fractions with denominator n+1, never floats.  The model is checked
-    against its own invariants and its intersection graph is compared to the
-    positive part before returning.
+    over Fractions with denominator n+1, never floats.  Raises
+    NotCompleteError on an incomplete graph and InfeasibleOrderingError,
+    carrying the first violation, on an infeasible ordering.
     """
     if not is_complete(g):
         raise NotCompleteError(
@@ -119,8 +119,7 @@ def ordering_to_model(g: SignedGraph, ordering: Ordering) -> IntervalModel:
             f"ordering is not a feasible embedding: {res.violation}",
             res.violation,
         )
-    gp = positive_part(g)
-    ext = neighborhood_extremes(gp, ordering)
+    ext = neighborhood_extremes(positive_part(g), ordering)
     pos = ordering.position
     den = g.n + 1
     intervals = {
@@ -130,11 +129,7 @@ def ordering_to_model(g: SignedGraph, ordering: Ordering) -> IntervalModel:
         )
         for v in range(1, g.n + 1)
     }
-    model = IntervalModel(intervals)
-    model.validate()
-    got = model_intersection_graph(model)
-    assert got.edges == gp.edges, "model intersection graph deviates from G+"
-    return model
+    return IntervalModel(intervals)
 
 
 def model_to_ordering(model: IntervalModel) -> Ordering:
@@ -258,16 +253,12 @@ def solve_complete(g: SignedGraph) -> Ordering | None:
 
     Route: recognize a proper interval structure on the positive part and
     use its umbrella ordering directly.  Raises NotCompleteError when some
-    pair carries no sign.  Every returned ordering is re-verified.
+    pair carries no sign.  The returned ordering is not re-verified here;
+    callers that print it check it first.
     """
     if not is_complete(g):
         raise NotCompleteError(
             f"graph has {g.m_pos + g.m_neg} signed pairs, "
             f"needs {g.n * (g.n - 1) // 2}"
         )
-    sigma = recognize_proper_interval(positive_part(g))
-    if sigma is None:
-        return None
-    res = verify_embedding(g, sigma)
-    assert res.valid, f"umbrella ordering failed verification: {res.violation}"
-    return sigma
+    return recognize_proper_interval(positive_part(g))

@@ -14,7 +14,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import Ordering, SignedGraph, build_signed_graph, verify_embedding
+from .core import Ordering, SignedGraph, build_signed_graph
 from .errors import CapExceededError, ReductionError, SelfLoopError
 
 SPLITTER_CAP = 20
@@ -385,29 +385,24 @@ def sat_to_setsplitting(cnf: CnfFormula) -> tuple[SetSystem, SatToSsMapping]:
     for clause in cnf.clauses:
         members = sorted({mapping.element_of(lit) for lit in clause} | {special})
         sets.append(tuple(members))
-    sys = build_set_system(special, sets, special=special)
-    assert sys.universe_size == 2 * n + 1
-    assert sum(len(s) for s in sys.sets) == 2 * n + sum(
-        len(c) + 1 for c in cnf.clauses
-    )
-    return sys, mapping
+    return build_set_system(special, sets, special=special), mapping
 
 
 def sat_solution_to_setsplitting(
     assignment: Assignment, mapping: SatToSsMapping
 ) -> SplitterSolution:
-    """X = elements of the literals made true; asserts X splits the gadget."""
-    cnf = mapping.formula()
-    if not eval_cnf(cnf, assignment):
+    """X = elements of the literals made true.
+
+    Raises ReductionError unless the assignment satisfies the formula.
+    """
+    if not eval_cnf(mapping.formula(), assignment):
         raise ReductionError("assignment does not satisfy the formula")
-    chosen = frozenset(
-        mapping.element_of(i if assignment.value(i) else -i)
-        for i in range(1, mapping.num_vars + 1)
+    return SplitterSolution(
+        frozenset(
+            mapping.element_of(i if assignment.value(i) else -i)
+            for i in range(1, mapping.num_vars + 1)
+        )
     )
-    x = SplitterSolution(chosen)
-    sys, _ = sat_to_setsplitting(cnf)
-    assert verify_setsplitting(sys, x), "true-literal set fails to split"
-    return x
 
 
 def lift_setsplitting_to_sat(
@@ -427,9 +422,7 @@ def lift_setsplitting_to_sat(
                 f"splitter does not separate the pair set of variable {i}"
             )
         values.append(pos_in)
-    assignment = Assignment(tuple(values))
-    assert eval_cnf(mapping.formula(), assignment), "lifted assignment fails"
-    return assignment
+    return Assignment(tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -468,56 +461,50 @@ def setsplitting_to_adp(sys: SetSystem) -> tuple[Digraph, SsToAdpMapping]:
     """
     u_count = sys.universe_size
     c_of: dict[tuple[int, int], int] = {}
+    of_elem: list[list[int]] = [[] for _ in range(u_count + 1)]
+    arcs: list[tuple[int, int]] = []
     nxt = u_count + 1
     for set_idx, members in enumerate(sys.sets, start=1):
-        for elem in members:  # members are stored ascending
-            c_of[(set_idx, elem)] = nxt
-            nxt += 1
-    arcs: list[tuple[int, int]] = []
-    for set_idx, members in enumerate(sys.sets, start=1):
-        ring = [c_of[(set_idx, e)] for e in members]
-        for i, c in enumerate(ring):
-            arcs.append((c, ring[(i + 1) % len(ring)]))
+        ring = list(range(nxt, nxt + len(members)))
+        for elem, c in zip(members, ring):  # members are stored ascending
+            c_of[(set_idx, elem)] = c
+            of_elem[elem].append(c)
+        arcs.extend(zip(ring, ring[1:] + ring[:1]))
+        nxt += len(members)
     for elem in range(1, u_count + 1):
-        for set_idx, members in enumerate(sys.sets, start=1):
-            if (set_idx, elem) in c_of:
-                c = c_of[(set_idx, elem)]
-                arcs.append((elem, c))
-                arcs.append((c, elem))
-    digraph = build_digraph(nxt - 1, arcs)
-    total = sum(len(s) for s in sys.sets)
-    assert digraph.n == u_count + total
-    assert len(digraph.arcs) == 3 * total
-    return digraph, SsToAdpMapping(universe_size=u_count, c_of=c_of)
+        for c in of_elem[elem]:
+            arcs.append((elem, c))
+            arcs.append((c, elem))
+    return build_digraph(nxt - 1, arcs), SsToAdpMapping(u_count, c_of)
 
 
 def setsplitting_solution_to_adp(
     x: SplitterSolution, mapping: SsToAdpMapping
 ) -> Partition:
     """Part 1 holds chosen element vertices and the membership vertices of
-    non-chosen elements; asserts the result passes verify_adp."""
+    non-chosen elements.
+
+    Raises ReductionError unless X splits the mapping's set system.
+    """
+    sys = build_set_system(mapping.universe_size, mapping.sets())
+    if not verify_setsplitting(sys, x):
+        raise ReductionError("splitter does not split the set system")
     part1 = set(x.chosen)
     for (_, elem), c in mapping.c_of.items():
         if elem not in x.chosen:
             part1.add(c)
-    digraph = mapping.gadget_digraph()
-    part = build_partition(digraph.n, part1)
-    assert verify_adp(digraph, part), "mapped partition has a cyclic part"
-    return part
+    return build_partition(mapping.universe_size + len(mapping.c_of), part1)
 
 
 def lift_adp_to_setsplitting(
     part: Partition, mapping: SsToAdpMapping
 ) -> SplitterSolution:
     """X = universe elements whose element vertex lies in part 1."""
-    x = SplitterSolution(
+    return SplitterSolution(
         frozenset(
             u for u in range(1, mapping.universe_size + 1) if u in part.part1
         )
     )
-    sys = build_set_system(mapping.universe_size, mapping.sets())
-    assert verify_setsplitting(sys, x), "lifted splitter misses a set"
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -574,11 +561,7 @@ def adp_to_lce(digraph: Digraph) -> tuple[SignedGraph, AdpToLceMapping]:
         neg.append((c, mapping.align_of(b)))
     for v in range(1, digraph.n + 1):
         neg.append((mapping.s_vertex, mapping.align_of(v)))
-    graph = build_signed_graph(1 + len(digraph.arcs) + digraph.n, pos, neg)
-    assert graph.n == digraph.n + len(digraph.arcs) + 1
-    assert graph.m_pos == 2 * len(digraph.arcs)
-    assert graph.m_neg == len(digraph.arcs) + digraph.n
-    return graph, mapping
+    return build_signed_graph(1 + len(digraph.arcs) + digraph.n, pos, neg), mapping
 
 
 def _topological(vertices: frozenset[int], digraph: Digraph) -> list[int]:
@@ -614,7 +597,8 @@ def adp_solution_to_lce_ordering(
     into part 2, checkers inside part 1 in reverse (pi1, pi1) lexicographic
     arc order, s, checkers inside part 2 in (pi2, pi2) lexicographic order,
     checkers from part 2 into part 1, alignment vertices of part 2 in pi2
-    order.  The result is verified before being returned.
+    order.  Raises ReductionError when a part is cyclic; the ordering itself
+    is not re-verified here.
     """
     digraph = mapping.source_digraph()
     pi1 = {v: i for i, v in enumerate(_topological(part.part1, digraph))}
@@ -647,10 +631,7 @@ def adp_solution_to_lce_ordering(
     seq.extend(cross_21)
     seq.extend(mapping.align_of(v) for v in sorted(part.part2, key=pi2.__getitem__))
 
-    ordering = Ordering.from_seq(seq)
-    res = verify_embedding(mapping.gadget_graph(), ordering)
-    assert res.valid, f"seven-block ordering failed verification: {res.violation}"
-    return ordering
+    return Ordering.from_seq(seq)
 
 
 def lift_lce_to_adp(ordering: Ordering, mapping: AdpToLceMapping) -> Partition:
@@ -662,11 +643,7 @@ def lift_lce_to_adp(ordering: Ordering, mapping: AdpToLceMapping) -> Partition:
         for v in range(1, mapping.digraph_n + 1)
         if pos[mapping.align_of(v)] < s_rank
     )
-    part = build_partition(mapping.digraph_n, part1)
-    assert verify_adp(mapping.source_digraph(), part), (
-        "lifted partition has a cyclic part"
-    )
-    return part
+    return build_partition(mapping.digraph_n, part1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import lineembed.core
 from lineembed.cli import main
 from lineembed.formats import (
     parse_cnf,
@@ -11,8 +17,16 @@ from lineembed.formats import (
     parse_model_cert,
     parse_ordering_cert,
     parse_signed_graph,
+    serialize_ordering_cert,
 )
-from lineembed.reductions import sat_to_setsplitting
+from lineembed.reductions import (
+    Assignment,
+    adp_solution_to_lce_ordering,
+    sat_solution_to_setsplitting,
+    sat_to_lce,
+    sat_to_setsplitting,
+    setsplitting_solution_to_adp,
+)
 
 P3_TEXT = "p sg 3 2 1\ne + 1 2\ne + 2 3\ne - 1 3\n"
 CLAW_TEXT = (
@@ -22,6 +36,9 @@ CLAW_TEXT = (
 )
 XYZ_TEXT = "p cnf 3 1\n1 2 3 0\n"
 TWO_CYCLE_TEXT = "p dg 2 2\na 1 2\na 2 1\n"
+# Instances on which the identity ordering 1 2 3 is infeasible.
+SPARSE_TEXT = "p sg 3 1 1\ne + 1 3\ne - 2 3\n"
+COMPLETE_TEXT = "p sg 3 1 2\ne + 1 3\ne - 1 2\ne - 2 3\n"
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -283,6 +300,128 @@ class TestLift:
         cert = write(tmp_path, "o.cert", "o 1\n")
         rc, _, err = run(capsys, "lift", mapping, cert)
         assert rc == 2 and "splitter" in err
+
+
+# Runs the CLI with a fault patched into it: argv[1] names the fault, the
+# rest is the command line.
+FAULT_DRIVER = """
+import sys
+from fractions import Fraction
+import lineembed.cli as cli
+from lineembed.core import Ordering
+from lineembed.intervals import IntervalModel
+from lineembed.reductions import Assignment
+
+def identity(g, cap=None):
+    return Ordering.from_seq(range(1, g.n + 1))
+
+def disjoint_intervals(g, ordering):
+    return IntervalModel({v: (Fraction(v), v + Fraction(1, 2)) for v in ordering})
+
+def all_false(ordering, mapping):
+    return Assignment((False,) * mapping.sat2ss.num_vars)
+
+if sys.argv[1] == "solver":
+    cli.solve_complete = cli.solve_subset_dp = cli.solve_bruteforce = identity
+elif sys.argv[1] == "model":
+    cli.ordering_to_model = disjoint_intervals
+else:
+    cli.lift_lce_to_sat = all_false
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def run_with_fault(flags: list[str], fault: str, *argv: str):
+    env = dict(os.environ)
+    src = str(Path(lineembed.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", FAULT_DRIVER, fault, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+@pytest.fixture
+def verify_calls(monkeypatch) -> list[int]:
+    """Count calls of verify_embedding through every lineembed module."""
+    calls: list[int] = []
+    original = lineembed.core.verify_embedding
+
+    def counted(g, ordering):
+        calls.append(1)
+        return original(g, ordering)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lineembed":
+            if getattr(module, "verify_embedding", None) is original:
+                monkeypatch.setattr(module, "verify_embedding", counted)
+    return calls
+
+
+class TestCertificateChecks:
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+    @pytest.mark.parametrize(
+        "fault, text, with_model, problem",
+        [
+            ("solver", SPARSE_TEXT, False, "ordering certificate"),
+            ("solver", COMPLETE_TEXT, False, "ordering certificate"),
+            ("solver", COMPLETE_TEXT, True, "ordering certificate"),
+            ("model", COMPLETE_TEXT, True, "interval model certificate"),
+        ],
+        ids=["dp", "complete", "complete-model", "model"],
+    )
+    def test_solve_fault_exits_five(
+        self, tmp_path, flags, fault, text, with_model, problem
+    ) -> None:
+        inst = write(tmp_path, "g.sg", text)
+        out, model = tmp_path / "g.cert", tmp_path / "g.model"
+        argv = ["solve", inst, "--out", str(out)]
+        if with_model:
+            argv += ["--model", str(model)]
+        proc = run_with_fault(flags, fault, *argv)
+        assert proc.returncode == 5, proc.stderr
+        assert problem in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists() and not model.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+    def test_lift_fault_exits_five(self, tmp_path, capsys, flags) -> None:
+        text = "p cnf 1 1\n1 0\n"
+        mapping = str(tmp_path / "x.map")
+        inst = write(tmp_path, "x.cnf", text)
+        assert run(capsys, "reduce", "sat2lce", inst, "--map", mapping)[0] == 0
+        _, chain = sat_to_lce(parse_cnf(text))
+        x = sat_solution_to_setsplitting(Assignment((True,)), chain.sat2ss)
+        part = setsplitting_solution_to_adp(x, chain.ss2adp)
+        ordering = adp_solution_to_lce_ordering(part, chain.adp2lce)
+        cert = write(tmp_path, "x.cert", serialize_ordering_cert(ordering))
+        out = tmp_path / "x.v"
+        proc = run_with_fault(flags, "lift", "lift", mapping, cert, "--out", str(out))
+        assert proc.returncode == 5, proc.stderr
+        assert "assignment certificate" in proc.stderr
+        assert "clause 1 is falsified" in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, extra",
+        [
+            (P3_TEXT, []),
+            (P3_TEXT, ["--algo", "dp"]),
+            (P3_TEXT, ["--algo", "brute"]),
+            (SPARSE_TEXT, []),
+            (P3_TEXT, ["--model", "MODEL"]),
+        ],
+        ids=["complete", "dp", "brute", "auto-dp", "model"],
+    )
+    def test_one_verification_per_solve(
+        self, tmp_path, capsys, verify_calls, text, extra
+    ) -> None:
+        inst = write(tmp_path, "g.sg", text)
+        extra = [str(tmp_path / "m.cert") if a == "MODEL" else a for a in extra]
+        rc, out, _ = run(capsys, "solve", inst, *extra)
+        assert rc == 0 and out != "o INFEASIBLE\n"
+        assert len(verify_calls) == 1
 
 
 class TestGen:

@@ -344,6 +344,11 @@ class TestSetsplittingToAdp:
         )
         assert part == build_partition(4, [1, 4])
 
+    def test_forward_rejects_non_splitter(self) -> None:
+        _, mapping = setsplitting_to_adp(PAIR_SYSTEM)
+        with pytest.raises(ReductionError):
+            setsplitting_solution_to_adp(SplitterSolution(frozenset({1, 2})), mapping)
+
     def test_lift_round_trip(self) -> None:
         _, mapping = setsplitting_to_adp(PAIR_SYSTEM)
         part = setsplitting_solution_to_adp(
