@@ -550,8 +550,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 5
     except MemoryError:
-        # The subset DP table is 2^n entries; the 64-vertex cap is a bitmask
-        # width limit, not a promise that the table fits in memory.
+        # The subset DP predicts its table's size before allocating it; this
+        # is the safety net for any other allocation that does not fit.
         print(
             "error: instance needs more memory than is available",
             file=sys.stderr,

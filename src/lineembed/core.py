@@ -49,29 +49,20 @@ class Graph:
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
         """Sorted adjacency lists, index 0 unused."""
-        return _adjacency(self.n, self.edges)
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
-
-def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    if n < 0:
-        raise GraphError(f"vertex count {n} is negative")
-    seen: set[Edge] = set()
-    for u, v in edges:
-        e = _checked_pair(u, v, n, "graph")
-        if e in seen:
-            raise GraphError(f"duplicate edge ({e[0]}, {e[1]})")
-        seen.add(e)
-    return Graph(n, frozenset(seen))
+        nbrs: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for u, v in self.edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return tuple(tuple(sorted(b)) for b in nbrs)
 
 
 @dataclass(frozen=True)
 class SignedGraph:
     """Signed graph: disjoint positive and negative edge sets on 1..n.
 
+    pos and neg hold each edge once as (u, v) with u < v and are the whole
+    graph.  The one cached derived form is the edge arrays the verifier
+    vectorises over; other consumers build what they need from the sets.
     Construct through build_signed_graph, which validates ranges, loops,
     duplicates and sign overlap.
     """
@@ -89,56 +80,14 @@ class SignedGraph:
         return len(self.neg)
 
     @cached_property
-    def pos_edges(self) -> tuple[Edge, ...]:
-        """Positive edges in sorted order (canonical listing)."""
-        return tuple(sorted(self.pos))
-
-    @cached_property
-    def neg_edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.neg))
-
-    @cached_property
-    def pos_adj(self) -> tuple[tuple[int, ...], ...]:
-        return _adjacency(self.n, self.pos)
-
-    @cached_property
-    def neg_adj(self) -> tuple[tuple[int, ...], ...]:
-        return _adjacency(self.n, self.neg)
-
-    @cached_property
-    def pos_masks(self) -> tuple[int, ...]:
-        """Per-vertex bitmask of positive neighbours (bit w-1), index 0 unused."""
-        return _masks(self.n, self.pos)
-
-    @cached_property
-    def neg_masks(self) -> tuple[int, ...]:
-        return _masks(self.n, self.neg)
-
-    @cached_property
     def pos_array(self) -> np.ndarray:
         """Positive edges as an (m, 2) int64 array, rows (u, v) with u < v,
-        in no particular order (use pos_edges for the canonical listing)."""
+        in no particular order."""
         return _pairs_array(self.pos)
 
     @cached_property
     def neg_array(self) -> np.ndarray:
         return _pairs_array(self.neg)
-
-
-def _adjacency(n: int, edges: frozenset[Edge]) -> tuple[tuple[int, ...], ...]:
-    nbrs: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    return tuple(tuple(sorted(b)) for b in nbrs)
-
-
-def _masks(n: int, edges: frozenset[Edge]) -> tuple[int, ...]:
-    masks = [0] * (n + 1)
-    for u, v in edges:
-        masks[u] |= 1 << (v - 1)
-        masks[v] |= 1 << (u - 1)
-    return tuple(masks)
 
 
 def build_signed_graph(
@@ -305,16 +254,13 @@ def _first_violation(
 ) -> Violation:
     """Smallest u2 then u1 (by vertex id) witnessing u's violation."""
     ru = rank[u]
+    pos_nbrs, neg_nbrs = Graph(g.n, g.pos).adj[u], Graph(g.n, g.neg).adj[u]
     if side == "left":
-        best_pos = min(rank[w] for w in g.pos_adj[u] if rank[w] < ru)
-        u2 = next(
-            w for w in g.neg_adj[u] if best_pos < rank[w] < ru
-        )
-        u1 = next(w for w in g.pos_adj[u] if rank[w] < rank[u2])
+        best_pos = min(rank[w] for w in pos_nbrs if rank[w] < ru)
+        u2 = next(w for w in neg_nbrs if best_pos < rank[w] < ru)
+        u1 = next(w for w in pos_nbrs if rank[w] < rank[u2])
     else:
-        best_pos = max(rank[w] for w in g.pos_adj[u] if rank[w] > ru)
-        u2 = next(
-            w for w in g.neg_adj[u] if ru < rank[w] < best_pos
-        )
-        u1 = next(w for w in g.pos_adj[u] if rank[w] > rank[u2])
+        best_pos = max(rank[w] for w in pos_nbrs if rank[w] > ru)
+        u2 = next(w for w in neg_nbrs if ru < rank[w] < best_pos)
+        u1 = next(w for w in pos_nbrs if rank[w] > rank[u2])
     return Violation(u1=int(u1), u2=int(u2), u=u, side=side)

@@ -87,8 +87,8 @@ def instance_kind(text: str, source: Optional[str] = None) -> str:
 
 def serialize_signed_graph(g: SignedGraph) -> str:
     out = [f"p sg {g.n} {g.m_pos} {g.m_neg}"]
-    out.extend(f"e + {u} {v}" for u, v in g.pos_edges)
-    out.extend(f"e - {u} {v}" for u, v in g.neg_edges)
+    out.extend(f"e + {u} {v}" for u, v in sorted(g.pos))
+    out.extend(f"e - {u} {v}" for u, v in sorted(g.neg))
     return "\n".join(out) + "\n"
 
 

@@ -31,28 +31,17 @@ from .errors import (
 Interval = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class NeighborhoodExtremes:
-    """first[v] / last[v]: the earliest / latest vertex of N[v] (closed
-    neighbourhood) under the given ordering."""
-
-    first: dict[int, int]
-    last: dict[int, int]
-
-
-def neighborhood_extremes(gp: Graph, ordering: Ordering) -> NeighborhoodExtremes:
+def neighborhood_extremes(gp: Graph, ordering: Ordering) -> dict[int, int]:
+    """last[v]: the latest vertex of N[v] (closed neighbourhood) under the
+    given ordering."""
     if len(ordering) != gp.n:
         raise OrderingError(
             f"ordering covers {len(ordering)} vertices, graph has {gp.n}"
         )
     pos = ordering.position
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for v in range(1, gp.n + 1):
-        closed = gp.adj[v] + (v,)
-        first[v] = min(closed, key=pos.__getitem__)
-        last[v] = max(closed, key=pos.__getitem__)
-    return NeighborhoodExtremes(first=first, last=last)
+    return {
+        v: max(gp.adj[v] + (v,), key=pos.__getitem__) for v in range(1, gp.n + 1)
+    }
 
 
 @dataclass(frozen=True)
@@ -119,13 +108,13 @@ def ordering_to_model(g: SignedGraph, ordering: Ordering) -> IntervalModel:
             f"ordering is not a feasible embedding: {res.violation}",
             res.violation,
         )
-    ext = neighborhood_extremes(positive_part(g), ordering)
+    last = neighborhood_extremes(positive_part(g), ordering)
     pos = ordering.position
     den = g.n + 1
     intervals = {
         v: (
             Fraction(pos[v]),
-            Fraction(pos[ext.last[v]]) + Fraction(pos[v], den),
+            Fraction(pos[last[v]]) + Fraction(pos[v], den),
         )
         for v in range(1, g.n + 1)
     }

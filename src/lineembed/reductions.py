@@ -134,12 +134,6 @@ class Digraph:
     n: int
     arcs: tuple[tuple[int, int], ...]
 
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        succ: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for a, b in self.arcs:
-            succ[a].append(b)
-        return tuple(tuple(s) for s in succ)
-
 
 def build_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     if n < 0:
@@ -197,40 +191,46 @@ def verify_setsplitting(sys: SetSystem, x: SplitterSolution) -> bool:
     return unsplit_set_index(sys, x) is None
 
 
-def _kahn_cycle(vertices: frozenset[int], digraph: Digraph) -> Optional[list[int]]:
-    """Vertices of some cycle inside the induced sub-digraph, or None.
+def _kahn(
+    vertices: frozenset[int], digraph: Digraph
+) -> tuple[list[int], Optional[list[int]]]:
+    """(order, None) with the smallest-vertex-first topological order of the
+    induced sub-digraph, or (eliminated vertices, cycle) when it is cyclic.
 
-    Queue-based topological elimination; every vertex that survives keeps an
-    in-neighbour among the survivors, so a backward walk from any survivor
-    must revisit a vertex and close a cycle.  A self-loop is a cycle of
-    length one.
+    Which vertices survive the elimination does not depend on the order in
+    which sources are removed.  Every survivor keeps an in-neighbour among
+    the survivors, so a backward walk from the smallest one must revisit a
+    vertex and close a cycle.  A self-loop is a cycle of length one.
     """
     succ: dict[int, list[int]] = {v: [] for v in vertices}
-    pred: dict[int, list[int]] = {v: [] for v in vertices}
     indeg = {v: 0 for v in vertices}
     for a, b in digraph.arcs:
         if a in vertices and b in vertices:
             succ[a].append(b)
-            pred[b].append(a)
             indeg[b] += 1
-    queue = [v for v in vertices if indeg[v] == 0]
-    removed = 0
-    while queue:
-        v = queue.pop()
-        removed += 1
+    heap = [v for v in vertices if indeg[v] == 0]
+    heapq.heapify(heap)
+    order: list[int] = []
+    while heap:
+        v = heapq.heappop(heap)
+        order.append(v)
         for w in succ[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                queue.append(w)
-    if removed == len(vertices):
-        return None
+                heapq.heappush(heap, w)
+    if len(order) == len(vertices):
+        return order, None
     rest = {v for v in vertices if indeg[v] > 0}
+    pred: dict[int, int] = {}  # first in-neighbour among the survivors
+    for a, b in digraph.arcs:
+        if a in rest and b in rest:
+            pred.setdefault(b, a)
     walk = [min(rest)]
     seen_at = {walk[0]: 0}
     while True:
-        nxt = next(w for w in pred[walk[-1]] if w in rest)
+        nxt = pred[walk[-1]]
         if nxt in seen_at:
-            return list(reversed(walk[seen_at[nxt] :]))
+            return order, list(reversed(walk[seen_at[nxt] :]))
         seen_at[nxt] = len(walk)
         walk.append(nxt)
 
@@ -241,12 +241,10 @@ def adp_violation(digraph: Digraph, part: Partition) -> Optional[tuple[int, list
         part.part1 & part.part2
     ):
         raise ReductionError("parts do not partition the digraph's vertices")
-    cyc = _kahn_cycle(part.part1, digraph)
-    if cyc is not None:
-        return (1, cyc)
-    cyc = _kahn_cycle(part.part2, digraph)
-    if cyc is not None:
-        return (2, cyc)
+    for idx, vertices in ((1, part.part1), (2, part.part2)):
+        cycle = _kahn(vertices, digraph)[1]
+        if cycle is not None:
+            return (idx, cycle)
     return None
 
 
@@ -564,29 +562,6 @@ def adp_to_lce(digraph: Digraph) -> tuple[SignedGraph, AdpToLceMapping]:
     return build_signed_graph(1 + len(digraph.arcs) + digraph.n, pos, neg), mapping
 
 
-def _topological(vertices: frozenset[int], digraph: Digraph) -> list[int]:
-    """Smallest-vertex-first topological order of the induced sub-digraph."""
-    indeg = {v: 0 for v in vertices}
-    succ: dict[int, list[int]] = {v: [] for v in vertices}
-    for a, b in digraph.arcs:
-        if a in vertices and b in vertices:
-            succ[a].append(b)
-            indeg[b] += 1
-    heap = [v for v in vertices if indeg[v] == 0]
-    heapq.heapify(heap)
-    out: list[int] = []
-    while heap:
-        v = heapq.heappop(heap)
-        out.append(v)
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, w)
-    if len(out) != len(vertices):
-        raise ReductionError("induced sub-digraph is not acyclic")
-    return out
-
-
 def adp_solution_to_lce_ordering(
     part: Partition, mapping: AdpToLceMapping
 ) -> Ordering:
@@ -601,8 +576,13 @@ def adp_solution_to_lce_ordering(
     is not re-verified here.
     """
     digraph = mapping.source_digraph()
-    pi1 = {v: i for i, v in enumerate(_topological(part.part1, digraph))}
-    pi2 = {v: i for i, v in enumerate(_topological(part.part2, digraph))}
+    ranks = []
+    for vertices in (part.part1, part.part2):
+        order, cycle = _kahn(vertices, digraph)
+        if cycle is not None:
+            raise ReductionError("induced sub-digraph is not acyclic")
+        ranks.append({v: i for i, v in enumerate(order)})
+    pi1, pi2 = ranks
 
     cross_12: list[int] = []
     cross_21: list[int] = []

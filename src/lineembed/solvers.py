@@ -13,13 +13,16 @@ the prefix characterization: an ordering is feasible iff each vertex v is
 
 from __future__ import annotations
 
+import math
+import os
+import resource
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import Ordering, SignedGraph
+from .core import Edge, Graph, Ordering, SignedGraph
 from .errors import CapExceededError, GraphError, MembershipError
 
 BRUTE_FORCE_CAP = 10
@@ -39,6 +42,15 @@ def _subset_universe(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return subsets, by_count, bounds
 
 
+def _masks(n: int, edges: frozenset[Edge]) -> tuple[int, ...]:
+    """Per-vertex bitmask of neighbours (bit w-1), index 0 unused."""
+    masks = [0] * (n + 1)
+    for u, v in edges:
+        masks[u] |= 1 << (v - 1)
+        masks[v] |= 1 << (u - 1)
+    return tuple(masks)
+
+
 def is_good(g: SignedGraph, v: int, chosen: Iterable[int]) -> bool:
     """Can v be placed directly after the prefix set `chosen`?
 
@@ -56,7 +68,7 @@ def is_good(g: SignedGraph, v: int, chosen: Iterable[int]) -> bool:
     if x_mask & v_bit:
         raise MembershipError(f"vertex {v} is already in the chosen set")
     outside = ((1 << g.n) - 1) & ~x_mask & ~v_bit
-    pos, neg = g.pos_masks, g.neg_masks
+    pos, neg = _masks(g.n, g.pos), _masks(g.n, g.neg)
 
     m = neg[v] & x_mask
     while m:  # placed negative neighbours must have no positive edge outward
@@ -92,7 +104,7 @@ def solve_bruteforce(g: SignedGraph, cap: int = BRUTE_FORCE_CAP) -> Optional[Ord
         raise CapExceededError(f"n={n} exceeds the brute-force cap {cap}")
     if n == 0:
         return Ordering(())
-    pos_adj, neg_adj = g.pos_adj, g.neg_adj
+    pos_nbrs, neg_nbrs = Graph(n, g.pos).adj, Graph(n, g.neg).adj
     rank = [0] * (n + 1)  # 0 = unplaced
     neg_after = [0] * (n + 1)  # placed negative neighbours to the right
     seq: list[int] = []
@@ -105,19 +117,19 @@ def solve_bruteforce(g: SignedGraph, cap: int = BRUTE_FORCE_CAP) -> Optional[Ord
             # Left pattern closing at u: a placed positive neighbour before
             # a placed negative neighbour.
             min_pos = n + 1
-            for w in pos_adj[u]:
+            for w in pos_nbrs[u]:
                 r = rank[w]
                 if r and r < min_pos:
                     min_pos = r
             skip = False
-            for w in neg_adj[u]:
+            for w in neg_nbrs[u]:
                 if min_pos < rank[w]:
                     skip = True
                     break
             if skip:
                 continue
             # Right pattern closing at u as the far positive endpoint.
-            for w in pos_adj[u]:
+            for w in pos_nbrs[u]:
                 if rank[w] and neg_after[w]:
                     skip = True
                     break
@@ -125,12 +137,12 @@ def solve_bruteforce(g: SignedGraph, cap: int = BRUTE_FORCE_CAP) -> Optional[Ord
                 continue
             rank[u] = k
             seq.append(u)
-            for w in neg_adj[u]:
+            for w in neg_nbrs[u]:
                 if rank[w] and rank[w] < k:
                     neg_after[w] += 1
             if k == n or extend():
                 return True
-            for w in neg_adj[u]:
+            for w in neg_nbrs[u]:
                 if rank[w] and rank[w] < k:
                     neg_after[w] -= 1
             seq.pop()
@@ -181,11 +193,12 @@ def _bad_extension_masks(g: SignedGraph) -> np.ndarray:
     subsets = _subset_universe(n)[0]
     bad = np.zeros(size, dtype=np.int64)
     zero = np.int64(0)
+    pos, neg = _masks(n, g.pos), _masks(n, g.neg)
     for w in range(1, n + 1):
-        nw = np.int64(g.neg_masks[w])
+        nw = np.int64(neg[w])
         if nw == 0:
             continue
-        pw = np.int64(g.pos_masks[w])
+        pw = np.int64(pos[w])
         w_in = (subsets & np.int64(1 << (w - 1))) != 0
         out_w = pw & ~subsets
         inside = (pw & subsets) != 0
@@ -196,11 +209,38 @@ def _bad_extension_masks(g: SignedGraph) -> np.ndarray:
     return bad
 
 
+def _table_bytes(n: int) -> int:
+    """Predicted peak bytes of a table fill on n vertices.
+
+    Measured with tracemalloc at n = 14..20, the fill peaks at 60 bytes per
+    subset while the bad-extension masks are built, then at 26 per subset
+    plus 25 per cell of the largest layer's C(n, n/2) x n matrices.
+    """
+    return 72 * (1 << n) + 32 * math.comb(n, n // 2) * n
+
+
+def _check_table_fits(n: int) -> None:
+    """Raise CapExceededError when the predicted fill exceeds memory: the
+    smaller of physical memory and the address-space soft limit."""
+    need = _table_bytes(n)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY:
+        have = min(have, soft)
+    if need > have:
+        raise CapExceededError(
+            f"n={n}: the subset DP table needs about {need / 2**20:,.0f} MB "
+            f"of memory, more than the {have / 2**20:,.0f} MB available"
+        )
+
+
 def reachability_table(g: SignedGraph, cap: int = SUBSET_DP_CAP) -> ReachabilityTable:
-    """Fill the subset DP table layer by layer (increasing popcount)."""
+    """Fill the subset DP table layer by layer (increasing popcount); raises
+    CapExceededError when n exceeds cap or the fill would not fit in memory."""
     n = g.n
     if n > cap:
         raise CapExceededError(f"n={n} exceeds the subset DP cap {cap}")
+    _check_table_fits(n)
     size = 1 << n
     reachable = np.zeros(size, dtype=bool)
     reachable[0] = True

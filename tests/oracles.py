@@ -19,10 +19,16 @@ def naive_violations(g, seq):
     lexicographically first violation in the package's tie-break order.
     """
     rank = {v: i + 1 for i, v in enumerate(seq)}
+    pos_nbrs = {u: [] for u in range(1, g.n + 1)}
+    neg_nbrs = {u: [] for u in range(1, g.n + 1)}
+    for edges, nbrs in ((g.pos, pos_nbrs), (g.neg, neg_nbrs)):
+        for u, v in edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
     out = []
     for u in range(1, g.n + 1):
-        for u1 in g.pos_adj[u]:
-            for u2 in g.neg_adj[u]:
+        for u1 in pos_nbrs[u]:
+            for u2 in neg_nbrs[u]:
                 if rank[u1] < rank[u2] < rank[u]:
                     out.append((u, 0, u2, u1))
                 if rank[u1] > rank[u2] > rank[u]:

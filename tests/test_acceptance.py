@@ -157,7 +157,7 @@ def test_criterion_1_dp_matches_bruteforce() -> None:
         dp = solve_subset_dp(g)
         if (brute is None) != (dp is None):
             failures.append(
-                f"verdict split on n={g.n} pos={g.pos_edges} neg={g.neg_edges}"
+                f"verdict split on n={g.n} pos={sorted(g.pos)} neg={sorted(g.neg)}"
             )
             return
         for ordering in (brute, dp):

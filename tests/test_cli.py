@@ -121,6 +121,16 @@ class TestSolve:
         rc, _, err = run(capsys, "solve", inst, "--algo", "dp")
         assert rc == 4 and "memory" in err
 
+    @pytest.mark.parametrize("algo", ["auto", "dp"])
+    @pytest.mark.parametrize("n", [63, 64])
+    def test_dp_table_size_refused_in_a_fresh_process(self, tmp_path, n, algo) -> None:
+        # At 63 and 64 vertices numpy cannot even index the table; the size
+        # rule must still give exit 4 and a one-line error, no traceback.
+        inst = write(tmp_path, "huge.sg", f"p sg {n} 0 0\n")
+        proc = run_python([], "-m", "lineembed.cli", "solve", "--algo", algo, inst)
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert "memory" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_missing_file(self, capsys) -> None:
         rc, _, err = run(capsys, "solve", "/nonexistent/file.sg")
         assert rc == 2 and "cannot read" in err
@@ -331,14 +341,19 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
-def run_with_fault(flags: list[str], fault: str, *argv: str):
+def run_python(flags: list[str], *args: str):
+    """Run a fresh interpreter that imports this package from source."""
     env = dict(os.environ)
     src = str(Path(lineembed.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *flags, "-c", FAULT_DRIVER, fault, *argv],
+        [sys.executable, *flags, *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def run_with_fault(flags: list[str], fault: str, *argv: str):
+    return run_python(flags, "-c", FAULT_DRIVER, fault, *argv)
 
 
 @pytest.fixture

@@ -175,7 +175,7 @@ class TestVerify:
         for _ in range(1000):
             n = rng.randint(2, 8)
             g = random_signed_graph(rng, n, rng.uniform(0.1, 0.5), rng.uniform(0.1, 0.5))
-            pos, neg = list(g.pos_edges), list(g.neg_edges)
+            pos, neg = sorted(g.pos), sorted(g.neg)
             rng.shuffle(pos)
             rng.shuffle(neg)
             h = build_signed_graph(n, pos, neg)

@@ -8,7 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from lineembed.core import Ordering, build_graph, build_signed_graph, verify_embedding
+from lineembed.core import (
+    Ordering,
+    build_signed_graph,
+    positive_part,
+    verify_embedding,
+)
 from lineembed.errors import (
     InfeasibleOrderingError,
     ModelError,
@@ -39,6 +44,10 @@ P3 = build_signed_graph(3, [(1, 2), (2, 3)], [(1, 3)])
 ABC = Ordering.from_seq([1, 2, 3])
 
 
+def plain_graph(n, edges):
+    return positive_part(build_signed_graph(n, edges, []))
+
+
 def random_complete(rng, n, p_pos=0.5):
     pos, neg = [], []
     for pair in itertools.combinations(range(1, n + 1), 2):
@@ -62,9 +71,8 @@ def planted_unit_interval_graph(rng, n, spread):
 
 class TestExtremes:
     def test_p3(self) -> None:
-        ext = neighborhood_extremes(build_graph(3, [(1, 2), (2, 3)]), ABC)
-        assert ext.last == {1: 2, 2: 3, 3: 3}
-        assert ext.first == {1: 1, 2: 1, 3: 2}
+        last = neighborhood_extremes(plain_graph(3, [(1, 2), (2, 3)]), ABC)
+        assert last == {1: 2, 2: 3, 3: 3}
 
     def test_within_bounds(self) -> None:
         rng = random.Random(11)
@@ -74,14 +82,13 @@ class TestExtremes:
                 p for p in itertools.combinations(range(1, n + 1), 2)
                 if rng.random() < 0.4
             ]
-            gp = build_graph(n, edges)
+            gp = plain_graph(n, edges)
             seq = list(range(1, n + 1))
             rng.shuffle(seq)
             o = Ordering.from_seq(seq)
-            ext = neighborhood_extremes(gp, o)
+            last = neighborhood_extremes(gp, o)
             for v in range(1, n + 1):
-                assert o.position[ext.first[v]] <= o.position[v]
-                assert o.position[v] <= o.position[ext.last[v]]
+                assert o.position[v] <= o.position[last[v]]
 
 
 class TestModel:
@@ -177,7 +184,7 @@ class TestUmbrellaCheck:
                 p for p in itertools.combinations(range(1, n + 1), 2)
                 if rng.random() < rng.uniform(0.1, 0.9)
             ]
-            gp = build_graph(n, edges)
+            gp = plain_graph(n, edges)
             seq = list(range(1, n + 1))
             rng.shuffle(seq)
             assert is_umbrella_ordering(gp, Ordering.from_seq(seq)) == (
@@ -187,25 +194,25 @@ class TestUmbrellaCheck:
 
 class TestRecognition:
     def test_claw_rejected(self) -> None:
-        claw = build_graph(4, [(1, 2), (1, 3), (1, 4)])
+        claw = plain_graph(4, [(1, 2), (1, 3), (1, 4)])
         assert recognize_proper_interval(claw) is None
 
     def test_c4_rejected(self) -> None:
-        c4 = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        c4 = plain_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
         assert recognize_proper_interval(c4) is None
 
     def test_path_and_clique(self) -> None:
-        path = build_graph(4, [(1, 2), (2, 3), (3, 4)])
+        path = plain_graph(4, [(1, 2), (2, 3), (3, 4)])
         got = recognize_proper_interval(path)
         assert got is not None and is_umbrella_ordering(path, got)
-        clique = build_graph(4, list(itertools.combinations(range(1, 5), 2)))
+        clique = plain_graph(4, list(itertools.combinations(range(1, 5), 2)))
         got = recognize_proper_interval(clique)
         assert got is not None
 
     def test_edgeless_and_tiny(self) -> None:
-        assert recognize_proper_interval(build_graph(0, [])) is not None
-        assert recognize_proper_interval(build_graph(1, [])) is not None
-        got = recognize_proper_interval(build_graph(5, []))
+        assert recognize_proper_interval(plain_graph(0, [])) is not None
+        assert recognize_proper_interval(plain_graph(1, [])) is not None
+        got = recognize_proper_interval(plain_graph(5, []))
         assert got is not None and sorted(got.seq) == [1, 2, 3, 4, 5]
 
     def test_exhaustive_up_to_five(self) -> None:
@@ -214,7 +221,7 @@ class TestRecognition:
             pairs = list(itertools.combinations(range(1, n + 1), 2))
             for bits in itertools.product((0, 1), repeat=len(pairs)):
                 edges = [p for p, b in zip(pairs, bits) if b]
-                gp = build_graph(n, edges)
+                gp = plain_graph(n, edges)
                 got = recognize_proper_interval(gp)
                 if got is not None:
                     assert is_umbrella_ordering(gp, got)
@@ -228,7 +235,7 @@ class TestRecognition:
                 p for p in itertools.combinations(range(1, n + 1), 2)
                 if rng.random() < rng.uniform(0.2, 0.8)
             ]
-            gp = build_graph(n, edges)
+            gp = plain_graph(n, edges)
             got = recognize_proper_interval(gp)
             if got is not None:
                 assert is_umbrella_ordering(gp, got)
@@ -239,7 +246,7 @@ class TestRecognition:
         for _ in range(120):
             n = rng.randint(2, 40)
             edges = planted_unit_interval_graph(rng, n, spread=n / rng.uniform(2, 8))
-            gp = build_graph(n, edges)
+            gp = plain_graph(n, edges)
             got = recognize_proper_interval(gp)
             assert got is not None
             assert is_umbrella_ordering(gp, got)

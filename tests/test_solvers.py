@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+
+from lineembed import solvers
 
 from lineembed.core import Ordering, build_signed_graph, verify_embedding
 from lineembed.errors import CapExceededError, GraphError, MembershipError
@@ -15,7 +19,7 @@ from lineembed.solvers import (
     solve_bruteforce,
     solve_subset_dp,
 )
-from lineembed.solvers import _bad_extension_masks
+from lineembed.solvers import _bad_extension_masks, _table_bytes
 
 from oracles import feasible_orderings_brute, naive_feasible
 from test_core import all_sign_patterns, random_signed_graph
@@ -175,6 +179,31 @@ class TestSubsetDP:
                 [(relabel[u], relabel[v]) for u, v in g.neg],
             )
             assert (solve_subset_dp(g) is None) == (solve_subset_dp(g2) is None)
+
+
+class TestTableSize:
+    def test_refused_before_allocation(self, monkeypatch) -> None:
+        # An edgeless graph is trivially feasible, but its 2^40-entry table
+        # cannot fit; the refusal must come before anything is allocated.
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(solvers, "_subset_universe", no_allocation)
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        with pytest.raises(CapExceededError, match="memory"):
+            reachability_table(build_signed_graph(40, [], []))
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_estimate_covers_measured_peak(self, n) -> None:
+        g = random_signed_graph(random.Random(n), n, 0.4, 0.4)
+        solvers._subset_universe.cache_clear()
+        tracemalloc.start()
+        try:
+            reachability_table(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak <= _table_bytes(n)
 
 
 class TestReachabilityTable:
