@@ -102,15 +102,20 @@ def build_signed_graph(
     """
     if n < 0:
         raise GraphError(f"vertex count {n} is negative")
+    # The range and loop tests run inline; _checked_pair names the offender.
     pos: set[Edge] = set()
     for u, v in positive:
-        e = _checked_pair(u, v, n, "positive")
+        e = (u, v) if u < v else (v, u)
+        if not 1 <= e[0] < e[1] <= n:
+            e = _checked_pair(u, v, n, "positive")
         if e in pos:
             raise GraphError(f"duplicate positive edge ({e[0]}, {e[1]})")
         pos.add(e)
     neg: set[Edge] = set()
     for u, v in negative:
-        e = _checked_pair(u, v, n, "negative")
+        e = (u, v) if u < v else (v, u)
+        if not 1 <= e[0] < e[1] <= n:
+            e = _checked_pair(u, v, n, "negative")
         if e in neg:
             raise GraphError(f"duplicate negative edge ({e[0]}, {e[1]})")
         if e in pos:

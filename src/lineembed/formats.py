@@ -9,7 +9,10 @@ canonical form that parses back to an equal object.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from heapq import merge
+from typing import Iterable, Iterator, Optional, Union
+
+import numpy as np
 
 from .core import Ordering, SignedGraph, build_signed_graph
 from .errors import LineEmbedError, ParseError
@@ -36,7 +39,13 @@ AnyMapping = Union[SatToSsMapping, SsToAdpMapping, AdpToLceMapping, SatToLceMapp
 
 def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
     """(1-based line number, tokens) for every non-blank non-comment line."""
-    for no, raw in enumerate(text.split("\n"), start=1):
+    return _tokenized(enumerate(text.split("\n"), start=1))
+
+
+def _tokenized(
+    numbered: Iterable[tuple[int, str]],
+) -> Iterator[tuple[int, list[str]]]:
+    for no, raw in numbered:
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
             continue
@@ -92,20 +101,101 @@ def serialize_signed_graph(g: SignedGraph) -> str:
     return "\n".join(out) + "\n"
 
 
+# Longest digit run the canonical edge spelling allows: below 10**18 every
+# value fits an int64.
+_CANONICAL_DIGITS = 18
+
+
+def _decimal(data: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Values of the ASCII digit runs data[lo:hi], each 1 to 18 digits long."""
+    width = hi - lo
+    value = np.zeros(len(lo), np.int64)
+    for j in range(int(width.max(initial=0))):
+        more = width > j
+        value[more] = value[more] * 10 + (data[lo[more] + j] - ord("0"))
+    return value
+
+
+def _canonical_edge_lines(data: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Split UTF-8 bytes into lines and find those spelled exactly
+    `e <+|-> <digits> <digits>`, single spaces, 1-18 ASCII digits per number.
+
+    Returns (starts, ends, canon, plus, u, v): the byte span of every line
+    (end exclusive, the newline not included), the indices of the canonical
+    lines in order, and for each of those its sign and two endpoints.  Only
+    line ends and the positions of non-digit bytes are kept, so the memory
+    used grows with the number of lines, not bytes.
+    """
+    nondigit = np.append(np.flatnonzero((data - ord("0")) > 9), len(data))
+    at_end = np.flatnonzero(np.append(data[nondigit[:-1]] == ord("\n"), True))
+    ends = nondigit[at_end]
+    starts = np.append(0, ends[:-1] + 1)
+    # A canonical line holds exactly five non-digit bytes: `e + ` and the
+    # space between the numbers.
+    canon = np.flatnonzero(np.diff(at_end, prepend=-1) == 6)
+    last = at_end[canon]
+    s, e, sep = starts[canon], ends[canon], nondigit[last - 1]
+    ok = (
+        (nondigit[last - 5] == s)
+        & (nondigit[last - 2] == s + 3)
+        & (sep > s + 4)
+        & (sep <= s + 4 + _CANONICAL_DIGITS)
+        & (e > sep + 1)
+        & (e <= sep + 1 + _CANONICAL_DIGITS)
+        & (data[s] == ord("e"))
+        & (data[s + 1] == ord(" "))
+        & ((data[s + 2] == ord("+")) | (data[s + 2] == ord("-")))
+        & (data[s + 3] == ord(" "))
+        & (data[sep] == ord(" "))
+    )
+    canon, s, e, sep = canon[ok], s[ok], e[ok], sep[ok]
+    plus = data[s + 2] == ord("+")
+    u, v = _decimal(data, s + 4, sep), _decimal(data, sep + 1, e)
+    return starts, ends, canon, plus, u, v
+
+
+def _edge(tokens: list[str], source: Optional[str], no: int) -> tuple[str, int, int]:
+    """(sign, u, v) of one `e` line, by the per-line rules."""
+    if tokens[0] != "e" or len(tokens) != 4:
+        raise ParseError("expected 'e <sign> <u> <v>'", source, no)
+    sign = tokens[1]
+    if sign not in ("+", "-"):
+        raise ParseError(f"edge sign must be + or -, got {sign!r}", source, no)
+    return sign, _int(tokens[2], source, no), _int(tokens[3], source, no)
+
+
 def parse_signed_graph(text: str, source: Optional[str] = None) -> SignedGraph:
-    lines = list(_content_lines(text))
+    """Parse a `p sg` instance.
+
+    Edge lines in canonical spelling are converted in one numpy pass; every
+    other line, and the first canonical one (which may stand where the
+    header belongs), goes through the per-line rules, so errors and their
+    line numbers do not depend on which path read a line.  Edges reach
+    build_signed_graph in line order.
+    """
+    encoded = text.encode("utf-8", "surrogatepass")
+    data = np.frombuffer(encoded, np.uint8)
+    starts, ends, canon, plus, u, v = _canonical_edge_lines(data)
+    fast_no, plus, u, v = canon[1:] + 1, plus[1:], u[1:], v[1:]
+    fast = np.zeros(len(starts), bool)
+    fast[fast_no - 1] = True
+    slow_at = np.flatnonzero(~fast)
+    lines = list(
+        _tokenized(
+            (i + 1, encoded[a:b].decode("utf-8", "surrogatepass"))
+            for i, a, b in zip(
+                slow_at.tolist(), starts[slow_at].tolist(), ends[slow_at].tolist()
+            )
+        )
+    )
     hdr_no, (n, m_pos, m_neg) = _header(lines, "sg", 3, source)
-    pos: list[tuple[int, int]] = []
-    neg: list[tuple[int, int]] = []
+    slow_pos: list[tuple[int, int, int]] = []
+    slow_neg: list[tuple[int, int, int]] = []
     for no, tokens in lines[1:]:
-        if tokens[0] != "e" or len(tokens) != 4:
-            raise ParseError("expected 'e <sign> <u> <v>'", source, no)
-        sign = tokens[1]
-        if sign not in "+-":
-            raise ParseError(f"edge sign must be + or -, got {sign!r}", source, no)
-        u = _int(tokens[2], source, no)
-        v = _int(tokens[3], source, no)
-        (pos if sign == "+" else neg).append((u, v))
+        sign, a, b = _edge(tokens, source, no)
+        (slow_pos if sign == "+" else slow_neg).append((no, a, b))
+    pos = _in_line_order(fast_no[plus], u[plus], v[plus], slow_pos)
+    neg = _in_line_order(fast_no[~plus], u[~plus], v[~plus], slow_neg)
     if (len(pos), len(neg)) != (m_pos, m_neg):
         raise ParseError(
             f"header declares {m_pos}+/{m_neg}- edges, found {len(pos)}+/{len(neg)}-",
@@ -116,6 +206,19 @@ def parse_signed_graph(text: str, source: Optional[str] = None) -> SignedGraph:
         return build_signed_graph(n, pos, neg)
     except LineEmbedError as exc:
         raise ParseError(str(exc), source, hdr_no) from exc
+
+
+def _in_line_order(
+    fast_no: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    slow: list[tuple[int, int, int]],
+) -> list[tuple[int, int]]:
+    """Edge pairs of one sign from both paths, merged by line number."""
+    if not slow:
+        return list(zip(u.tolist(), v.tolist()))
+    fast = zip(fast_no.tolist(), u.tolist(), v.tolist())
+    return [(a, b) for _, a, b in merge(fast, slow)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from lineembed.core import build_signed_graph
+from lineembed.errors import LineEmbedError, ParseError
+
 SIDE_KEY = {"left": 0, "right": 1}
 
 
@@ -171,3 +174,64 @@ def exact_interval(rank_v, rank_far, n):
         Fraction(rank_v),
         Fraction(rank_far) + Fraction(rank_v, n + 1),
     )
+
+
+
+def _content_lines(text):
+    for no, raw in enumerate(text.split("\n"), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0] == "c":
+            continue
+        yield no, tokens
+
+
+def _int(token, source, line):
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {token!r}", source, line)
+
+
+def _header(lines, kind, count, source):
+    if not lines:
+        raise ParseError("empty input", source, None)
+    no, tokens = lines[0]
+    if tokens[0] != "p" or len(tokens) < 2 or tokens[1] != kind:
+        raise ParseError(f"expected 'p {kind}' header", source, no)
+    if len(tokens) != 2 + count:
+        raise ParseError(
+            f"'p {kind}' header wants {count} fields, got {len(tokens) - 2}",
+            source,
+            no,
+        )
+    return no, [_int(t, source, no) for t in tokens[2:]]
+
+
+def parse_signed_graph_by_lines(text, source=None):
+    """The `p sg` parser that reads every line with str.split and int, kept
+    as the reference for the package's numpy pass.  Its sign test is exact
+    (`sign not in ("+", "-")`); a substring test once accepted `+-` as a
+    negative sign."""
+    lines = list(_content_lines(text))
+    hdr_no, (n, m_pos, m_neg) = _header(lines, "sg", 3, source)
+    pos = []
+    neg = []
+    for no, tokens in lines[1:]:
+        if tokens[0] != "e" or len(tokens) != 4:
+            raise ParseError("expected 'e <sign> <u> <v>'", source, no)
+        sign = tokens[1]
+        if sign not in ("+", "-"):
+            raise ParseError(f"edge sign must be + or -, got {sign!r}", source, no)
+        u = _int(tokens[2], source, no)
+        v = _int(tokens[3], source, no)
+        (pos if sign == "+" else neg).append((u, v))
+    if (len(pos), len(neg)) != (m_pos, m_neg):
+        raise ParseError(
+            f"header declares {m_pos}+/{m_neg}- edges, found {len(pos)}+/{len(neg)}-",
+            source,
+            hdr_no,
+        )
+    try:
+        return build_signed_graph(n, pos, neg)
+    except LineEmbedError as exc:
+        raise ParseError(str(exc), source, hdr_no) from exc

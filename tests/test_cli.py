@@ -140,6 +140,12 @@ class TestSolve:
         rc, _, err = run(capsys, "solve", inst)
         assert rc == 3 and "bad.sg" in err
 
+    def test_two_character_sign_exits_three(self, tmp_path, capsys) -> None:
+        inst = write(tmp_path, "bad.sg", "p sg 2 0 1\ne +- 1 2\n")
+        rc, out, err = run(capsys, "solve", inst)
+        assert rc == 3 and out == ""
+        assert "bad.sg:2: edge sign must be + or -, got '+-'" in err
+
 
 class TestVerify:
     def test_ordering_valid(self, tmp_path, capsys) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from lineembed.formats import (
     serialize_signed_graph,
     serialize_splitter_cert,
 )
+from lineembed.generators import gen_planted_complete
 from lineembed.intervals import ordering_to_model
 from lineembed.reductions import (
     Assignment,
@@ -76,6 +78,43 @@ class TestSignedGraphFormat:
     def test_bad_sign(self) -> None:
         with pytest.raises(ParseError):
             parse_signed_graph("p sg 2 1 0\ne * 1 2\n")
+
+    @pytest.mark.parametrize("sign", ["+-", "-+"])
+    def test_two_character_sign_rejected(self, sign) -> None:
+        with pytest.raises(ParseError) as err:
+            parse_signed_graph(f"p sg 2 0 1\ne {sign} 1 2\n", source="s.sg")
+        assert str(err.value) == f"s.sg:2: edge sign must be + or -, got {sign!r}"
+
+    def test_edge_before_header_is_a_header_error(self) -> None:
+        with pytest.raises(ParseError) as err:
+            parse_signed_graph("c x\ne + 1 2\np sg 2 1 0\n")
+        assert (err.value.line, str(err.value)) == (2, "2: expected 'p sg' header")
+
+    def test_other_spellings_read_in_line_order(self) -> None:
+        # Tab-separated lines take the per-line rules, the others the numpy
+        # pass; the first duplicate in line order is (2, 3), but reading
+        # either group before the other would meet (1, 2) first.
+        text = "p sg 3 5 0\ne + 1 2\ne\t+ 2 3\ne + 2 3\ne + 1 2\ne\t+ 1 2\n"
+        with pytest.raises(ParseError) as err:
+            parse_signed_graph(text)
+        assert str(err.value) == "1: duplicate positive edge (2, 3)"
+        text = "p sg 1000 2 1\ne + +5 1_0\ne - ١٢ 7\ne + 999 1000\n"
+        assert parse_signed_graph(text) == build_signed_graph(
+            1000, [(5, 10), (999, 1000)], [(12, 7)]
+        )
+
+    def test_parse_memory_grows_with_lines(self) -> None:
+        # Peak allocation while parsing a dense n=300 instance, against the
+        # text's length: the line-by-line reading used about 50x, the numpy
+        # pass about 25x; per-byte int64 arrays would add about 16x.
+        text = serialize_signed_graph(gen_planted_complete(300, seed=1))
+        tracemalloc.start()
+        try:
+            parse_signed_graph(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * len(text), peak / len(text)
 
     def test_semantic_errors_become_parse_errors(self) -> None:
         with pytest.raises(ParseError):

@@ -1,5 +1,6 @@
-"""Property tests: the verifier against the cubic oracle, and the signed-graph
-text format round trip.
+"""Property tests: the verifier against the cubic oracle, the signed-graph
+text format round trip, and the signed-graph parser against the per-line
+reference parser.
 
 Examples are derandomized and nothing is stored between runs, so every run
 checks the same graphs.
@@ -13,18 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lineembed.core import Ordering, build_signed_graph, verify_embedding
+from lineembed.errors import ParseError
 from lineembed.formats import parse_signed_graph, serialize_signed_graph
 
+from oracles import parse_signed_graph_by_lines
 from test_core import assert_matches_naive
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
 
 
 @st.composite
-def signed_graphs(draw, max_n=9):
+def signed_graphs(draw, max_n=9, min_n=0):
     """A signed graph whose edges are inserted in a drawn order, each written
     with its endpoints in a drawn order."""
-    n = draw(st.integers(0, max_n))
+    n = draw(st.integers(min_n, max_n))
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     signs = draw(st.lists(st.sampled_from("+-."), min_size=len(pairs), max_size=len(pairs)))
     edges = draw(st.permutations([(p, s) for p, s in zip(pairs, signs) if s != "."]))
@@ -56,3 +59,131 @@ def test_signed_graph_text_round_trip(g) -> None:
     text = serialize_signed_graph(g)
     assert parse_signed_graph(text) == g
     assert serialize_signed_graph(parse_signed_graph(text)) == text
+
+
+# Ways to write one `e` line.  The first is the canonical spelling; the
+# others are accepted by the per-line rules (tabs, extra or Unicode spaces,
+# a trailing \r) and must read the same.
+EDGE_LINES = [
+    "e {s} {a} {b}",
+    "e {s} {a} {b}\r",
+    "e\t{s} {a} {b}",
+    " e {s}  {a} {b} ",
+    "e\x1c{s} {a}\u2003{b}",
+]
+# Ways to write one vertex number k: canonical (plain, zero-padded to 18
+# digits) and not (20 digits, a sign, an underscore, non-ASCII digits).
+NUMBERS = [
+    str,
+    lambda k: f"{k:018d}",
+    lambda k: f"{k:020d}",
+    lambda k: f"+{k}",
+    lambda k: f"{k // 10}_{k % 10}",
+    lambda k: "".join(chr(0x660 + int(d)) for d in str(k)),
+    lambda k: "".join(chr(0xFF10 + int(d)) for d in str(k)),
+]
+# Numbers that are malformed or out of range for any graph drawn here.
+BAD_NUMBERS = [
+    "0", "x", "1.0", "١.٢", "999999999999999999", "1000000000000000000", "9" * 20,
+]
+BAD_SIGNS = ["+-", "-+", "*", "++", "=", "\u2212"]
+# Blank and comment lines, with multi-byte characters and a lone surrogate.
+HARMLESS_LINES = [
+    "", " ", "\t", "\r", "\x0b", "c", "c note", "  c e + 1 2",
+    "c \u00fcn\u00ef \u2713 \U0001F600", "c \udc80",
+]
+MALFORMED_LINES = [
+    "cx", "e + 1", "e + 1 2 3", "E + 1 2", "p sg 2 0 0", "e\u00a0+ 1 2 3",
+    "e + 1x2", "e_+ 1 2", "e +_1 2", "e\u2003+ 1 2 x",
+]
+
+
+@st.composite
+def edge_lines(draw, sign, pair):
+    """One `e` line for a sign and pair, in a drawn spelling."""
+    numbers = [
+        draw(st.sampled_from(NUMBERS))(k) if k >= 0 and draw(st.booleans()) else str(k)
+        for k in pair
+    ]
+    template = EDGE_LINES[0]
+    if draw(st.booleans()):
+        template = draw(st.sampled_from(EDGE_LINES))
+    return template.format(s=sign, a=numbers[0], b=numbers[1])
+
+
+@st.composite
+def stray_lines(draw, g):
+    """A line that is not one of g's edges, and the sign it counts under: a
+    comment or blank line, an edge that repeats one of g's or may fall out
+    of range, or a malformed line."""
+    kind = draw(st.integers(0, 5))
+    if kind <= 1:
+        return draw(st.sampled_from(HARMLESS_LINES)), None
+    if kind == 2:
+        sign = draw(st.sampled_from("+-"))
+        if (g.pos or g.neg) and draw(st.booleans()):
+            pair = draw(st.sampled_from(sorted(g.pos | g.neg)))
+        else:
+            pair = (draw(st.integers(-1, g.n + 1)), draw(st.integers(-1, g.n + 1)))
+        return draw(edge_lines(sign, pair)), sign
+    if kind == 3:
+        template = draw(st.sampled_from(EDGE_LINES))
+        return template.format(s=draw(st.sampled_from(BAD_SIGNS)), a=1, b=2), None
+    if kind == 4:
+        number = draw(st.sampled_from(BAD_NUMBERS))
+        return EDGE_LINES[0].format(s="+", a=1, b=number), "+"
+    return draw(st.sampled_from(MALFORMED_LINES)), None
+
+
+@st.composite
+def signed_graph_texts(draw):
+    """A `p sg` text mixing canonical and other spellings of the edges of a
+    drawn graph with stray lines, under a header that is usually right and
+    sometimes wrong, misplaced or missing."""
+    g = draw(signed_graphs(max_n=8, min_n=3))
+    written = [(e, "+") for e in g.pos] + [(e, "-") for e in g.neg]
+    lines = []
+    for (u, v), sign in draw(st.permutations(written)):
+        pair = (v, u) if draw(st.booleans()) else (u, v)
+        lines.append((draw(edge_lines(sign, pair)), sign))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(stray_lines(g)))
+    m_pos = sum(sign == "+" for _, sign in lines)
+    m_neg = sum(sign == "-" for _, sign in lines)
+    header = draw(
+        st.sampled_from(
+            [f"p sg {g.n} {m_pos} {m_neg}"] * 8
+            + [
+                f"p  sg\t{g.n} {m_pos} {m_neg}\r",
+                f"p sg {g.n} {m_pos + 1} {m_neg}",
+                f"p sg {g.n} {m_pos}",
+                f"p sg {g.n} {m_pos} {m_neg} 0",
+                f"p sg {g.n} x {m_neg}",
+                "p cnf 1 1",
+                "p",
+            ]
+        )
+    )
+    texts = [line for line, _ in lines]
+    placement = draw(st.sampled_from(["first"] * 8 + ["anywhere", "missing"]))
+    if placement == "first":
+        leading = draw(st.lists(st.sampled_from(HARMLESS_LINES), max_size=2))
+        texts[:0] = leading + [header]
+    elif placement == "anywhere":
+        texts.insert(draw(st.integers(0, len(texts))), header)
+    return "\n".join(texts) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text, "in.sg")
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.source, exc.line)
+
+
+@settings(DETERMINISTIC, max_examples=1500)
+@given(signed_graph_texts())
+def test_parser_matches_per_line_reference(text) -> None:
+    assert parse_outcome(parse_signed_graph, text) == parse_outcome(
+        parse_signed_graph_by_lines, text
+    )
