@@ -136,7 +136,7 @@ def _check_model(g, model, source) -> Optional[str]:
         raise ParseError(f"model covers {model.n} vertices, instance has {g.n}", source)
     if not is_complete(g):
         return "instance is not a complete signed graph"
-    model.validate()  # parse_model_cert validates too; a built model needs it here
+    model.validate()  # at once for a parsed model, which parse_model_cert validated
     if model_intersection_graph(model) != positive_part(g):
         return "interval intersections do not match the positive edges"
     return None

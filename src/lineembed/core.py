@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -31,12 +31,6 @@ def _checked_pair(u: int, v: int, n: int, sign: str) -> Edge:
     if u == v:
         raise GraphError(f"{sign} edge ({u}, {v}) is a loop")
     return (u, v) if u < v else (v, u)
-
-
-def _pairs_array(edges: frozenset[Edge]) -> np.ndarray:
-    """Edges as an (m, 2) int64 array in the set's iteration order, unsorted."""
-    flat = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges))
-    return flat.reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -56,38 +50,56 @@ class Graph:
         return tuple(tuple(sorted(b)) for b in nbrs)
 
 
-@dataclass(frozen=True)
 class SignedGraph:
     """Signed graph: disjoint positive and negative edge sets on 1..n.
 
-    pos and neg hold each edge once as (u, v) with u < v and are the whole
-    graph.  The one cached derived form is the edge arrays the verifier
-    vectorises over; other consumers build what they need from the sets.
-    Construct through build_signed_graph, which validates ranges, loops,
-    duplicates and sign overlap.
+    Each edge is held once as (u, v) with u < v, in the form the graph was
+    built from: frozensets `pos`/`neg` (build_signed_graph, which the
+    generators use) or (m, 2) int64 arrays `pos_array`/`neg_array` (the
+    parser and the ADP gadget, which hold the endpoints as arrays already).
+    The other form is a view, built on first read, so the complete route
+    never builds the negative set.  Equality and hashing compare n and the
+    edge sets, whichever form built them.  m_pos and m_neg are the edge
+    counts.  Construct through build_signed_graph, which validates ranges,
+    loops, duplicates and sign overlap.
     """
 
-    n: int
-    pos: frozenset[Edge]
-    neg: frozenset[Edge]
+    def __init__(self, n: int, pos, neg) -> None:
+        """pos and neg: both validated frozensets or both validated arrays."""
+        self.n, self.m_pos, self.m_neg = n, len(pos), len(neg)
+        if isinstance(pos, np.ndarray):
+            self.pos_array, self.neg_array = pos, neg
+        else:
+            self.pos, self.neg = pos, neg
 
-    @property
-    def m_pos(self) -> int:
-        return len(self.pos)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SignedGraph):
+            return NotImplemented
+        return (self.n, self.pos, self.neg) == (other.n, other.pos, other.neg)
 
-    @property
-    def m_neg(self) -> int:
-        return len(self.neg)
+    def __hash__(self) -> int:
+        return hash((self.n, self.pos, self.neg))
+
+    def __repr__(self) -> str:
+        return f"SignedGraph(n={self.n!r}, pos={self.pos!r}, neg={self.neg!r})"
+
+    @cached_property
+    def pos(self) -> frozenset[Edge]:
+        return frozenset(zip(*self.pos_array.T.tolist()))
+
+    @cached_property
+    def neg(self) -> frozenset[Edge]:
+        return frozenset(zip(*self.neg_array.T.tolist()))
 
     @cached_property
     def pos_array(self) -> np.ndarray:
         """Positive edges as an (m, 2) int64 array, rows (u, v) with u < v,
         in no particular order."""
-        return _pairs_array(self.pos)
+        return np.fromiter(chain.from_iterable(self.pos), np.int64).reshape(-1, 2)
 
     @cached_property
     def neg_array(self) -> np.ndarray:
-        return _pairs_array(self.neg)
+        return np.fromiter(chain.from_iterable(self.neg), np.int64).reshape(-1, 2)
 
 
 def build_signed_graph(
@@ -95,7 +107,7 @@ def build_signed_graph(
     positive: Iterable[tuple[int, int]],
     negative: Iterable[tuple[int, int]],
 ) -> SignedGraph:
-    """Validate and build a signed graph.
+    """Validate and build a signed graph, stored as edge sets.
 
     Raises GraphError on endpoints outside 1..n, loops, duplicated pairs
     within one sign, or a pair carrying both signs.
@@ -122,6 +134,37 @@ def build_signed_graph(
             raise GraphError(f"edge ({e[0]}, {e[1]}) appears with both signs")
         neg.add(e)
     return SignedGraph(n, frozenset(pos), frozenset(neg))
+
+
+def _build_from_arrays(n: int, pos: np.ndarray, neg: np.ndarray) -> SignedGraph:
+    """build_signed_graph for (m, 2) endpoint arrays, rows in input order,
+    stored as arrays.
+
+    Range and loops are tested by comparison; repeated pairs and pairs with
+    both signs by sorting the keys u*(n+1)+v of both signs together.  When a
+    test fails, or the arrays are not int64 (a number too large for one), or
+    n is too large for the keys, build_signed_graph runs on the same pairs
+    in the same order, so the outcome and any error text are its own.
+    """
+    if 0 <= n < 2**31 and pos.dtype == neg.dtype == np.int64:
+        rows = [
+            np.column_stack((np.minimum(*a.T), np.maximum(*a.T))) for a in (pos, neg)
+        ]
+        lo, hi = np.concatenate(rows).T
+        if (lo >= 1).all() and (lo < hi).all() and (hi <= n).all():
+            keys = np.sort(lo * (n + 1) + hi)
+            if not (keys[1:] == keys[:-1]).any():
+                return SignedGraph(n, *rows)
+    return build_signed_graph(n, pos.tolist(), neg.tolist())
+
+
+def _pair_array(pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Pairs as an (m, 2) int64 array, or as an object array when a number
+    does not fit an int64, so that _build_from_arrays keeps it exact."""
+    try:
+        return np.array(pairs, np.int64).reshape(-1, 2)
+    except OverflowError:
+        return np.array(pairs, object).reshape(-1, 2)
 
 
 def is_complete(g: SignedGraph) -> bool:

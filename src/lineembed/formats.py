@@ -9,12 +9,11 @@ canonical form that parses back to an equal object.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import merge
 from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .core import Ordering, SignedGraph, build_signed_graph
+from .core import Ordering, SignedGraph, _build_from_arrays, _pair_array
 from .errors import LineEmbedError, ParseError
 from .intervals import IntervalModel
 from .reductions import (
@@ -170,8 +169,9 @@ def parse_signed_graph(text: str, source: Optional[str] = None) -> SignedGraph:
     Edge lines in canonical spelling are converted in one numpy pass; every
     other line, and the first canonical one (which may stand where the
     header belongs), goes through the per-line rules, so errors and their
-    line numbers do not depend on which path read a line.  Edges reach
-    build_signed_graph in line order.
+    line numbers do not depend on which path read a line.  The endpoints of
+    both paths are merged into arrays in line order and validated as
+    build_signed_graph would, with its error texts.
     """
     encoded = text.encode("utf-8", "surrogatepass")
     data = np.frombuffer(encoded, np.uint8)
@@ -189,13 +189,14 @@ def parse_signed_graph(text: str, source: Optional[str] = None) -> SignedGraph:
         )
     )
     hdr_no, (n, m_pos, m_neg) = _header(lines, "sg", 3, source)
-    slow_pos: list[tuple[int, int, int]] = []
-    slow_neg: list[tuple[int, int, int]] = []
-    for no, tokens in lines[1:]:
-        sign, a, b = _edge(tokens, source, no)
-        (slow_pos if sign == "+" else slow_neg).append((no, a, b))
-    pos = _in_line_order(fast_no[plus], u[plus], v[plus], slow_pos)
-    neg = _in_line_order(fast_no[~plus], u[~plus], v[~plus], slow_neg)
+    slow = [_edge(tokens, source, no) for no, tokens in lines[1:]]
+    slow_no = np.array([no for no, _ in lines[1:]], np.int64)
+    order = np.argsort(np.concatenate((fast_no, slow_no)), kind="stable")
+    slow_plus = np.array([sign == "+" for sign, _, _ in slow], bool)
+    plus = np.concatenate((plus, slow_plus))[order]
+    slow_pairs = _pair_array([(a, b) for _, a, b in slow])
+    edges = np.concatenate((np.column_stack((u, v)), slow_pairs))[order]
+    pos, neg = edges[plus], edges[~plus]
     if (len(pos), len(neg)) != (m_pos, m_neg):
         raise ParseError(
             f"header declares {m_pos}+/{m_neg}- edges, found {len(pos)}+/{len(neg)}-",
@@ -203,22 +204,9 @@ def parse_signed_graph(text: str, source: Optional[str] = None) -> SignedGraph:
             hdr_no,
         )
     try:
-        return build_signed_graph(n, pos, neg)
+        return _build_from_arrays(n, pos, neg)
     except LineEmbedError as exc:
         raise ParseError(str(exc), source, hdr_no) from exc
-
-
-def _in_line_order(
-    fast_no: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    slow: list[tuple[int, int, int]],
-) -> list[tuple[int, int]]:
-    """Edge pairs of one sign from both paths, merged by line number."""
-    if not slow:
-        return list(zip(u.tolist(), v.tolist()))
-    fast = zip(fast_no.tolist(), u.tolist(), v.tolist())
-    return [(a, b) for _, a, b in merge(fast, slow)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import (
     Graph,
@@ -57,7 +58,12 @@ class IntervalModel:
     def validate(self) -> None:
         """Raise ModelError unless the model is structurally sound:
         vertices are 1..n, interiors are nonempty, all 2n endpoints are
-        pairwise distinct, and no interval contains another."""
+        pairwise distinct, and no interval contains another.  A model that
+        passed once is not checked again."""
+        self._sound
+
+    @cached_property
+    def _sound(self) -> bool:
         n = self.n
         if sorted(self.intervals) != list(range(1, n + 1)):
             raise ModelError("interval keys are not exactly 1..n")
@@ -72,6 +78,7 @@ class IntervalModel:
         for (_, r1), (_, r2) in zip(by_left, by_left[1:]):
             if r2 < r1:
                 raise ModelError("one interval properly contains another")
+        return True
 
 
 def model_intersection_graph(model: IntervalModel) -> Graph:

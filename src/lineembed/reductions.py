@@ -14,11 +14,10 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import Ordering, SignedGraph, build_signed_graph
-from .errors import CapExceededError, ReductionError, SelfLoopError
+import numpy as np
 
-SPLITTER_CAP = 20
-ADP_CAP = 20
+from .core import Ordering, SignedGraph, _build_from_arrays, _pair_array
+from .errors import ReductionError, SelfLoopError
 
 
 # ---------------------------------------------------------------------------
@@ -254,89 +253,6 @@ def verify_adp(digraph: Digraph, part: Partition) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force solvers (oracles at desk scale)
-# ---------------------------------------------------------------------------
-
-
-def solve_setsplitting_bruteforce(
-    sys: SetSystem, cap: int = SPLITTER_CAP
-) -> Optional[SplitterSolution]:
-    """First splitter in ascending bitmask order, or None."""
-    n = sys.universe_size
-    if n > cap:
-        raise CapExceededError(f"universe size {n} exceeds cap {cap}")
-    set_masks = [
-        (sum(1 << (e - 1) for e in members), len(members))
-        for members in sys.sets
-    ]
-    for mask in range(1 << n):
-        ok = True
-        for smask, size in set_masks:
-            hit = (mask & smask).bit_count()
-            if hit == 0 or hit == size:
-                ok = False
-                break
-        if ok:
-            return SplitterSolution(
-                frozenset(v + 1 for v in range(n) if mask >> v & 1)
-            )
-    return None
-
-
-def solve_adp_bruteforce(
-    digraph: Digraph, cap: int = ADP_CAP
-) -> Optional[Partition]:
-    """Exhaustive backtracking over part assignments.
-
-    Vertices are assigned in index order, part 1 tried first, and a branch
-    is cut as soon as the partly-built part contains a directed cycle (the
-    cycle persists in every completion, so nothing feasible is lost).  With
-    part 1 preferred, an arcless digraph yields part1 = V.
-    """
-    n = digraph.n
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds cap {cap}")
-    succ: list[list[int]] = [[] for _ in range(n + 1)]
-    for a, b in digraph.arcs:
-        succ[a].append(b)
-
-    side = [0] * (n + 1)  # 0 unassigned, else 1 or 2
-
-    def creates_cycle(v: int, p: int) -> bool:
-        # Path from a successor of v back to v inside part p implies a cycle
-        # through v among assigned vertices.
-        stack = [w for w in succ[v] if side[w] == p or w == v]
-        if v in stack:
-            return True  # self-loop
-        seen = set()
-        while stack:
-            w = stack.pop()
-            if w == v:
-                return True
-            if w in seen:
-                continue
-            seen.add(w)
-            stack.extend(x for x in succ[w] if side[x] == p or x == v)
-        return False
-
-    def assign(v: int) -> bool:
-        if v > n:
-            return True
-        for p in (1, 2):
-            if not creates_cycle(v, p):
-                side[v] = p
-                if assign(v + 1):
-                    return True
-                side[v] = 0
-        return False
-
-    if not assign(1):
-        return None
-    part1 = frozenset(v for v in range(1, n + 1) if side[v] == 1)
-    return Partition(part1, frozenset(range(1, n + 1)) - part1)
-
-
-# ---------------------------------------------------------------------------
 # Stage 1: CNF -> set splitting
 # ---------------------------------------------------------------------------
 
@@ -550,16 +466,17 @@ def adp_to_lce(digraph: Digraph) -> tuple[SignedGraph, AdpToLceMapping]:
                 f"arc ({a}, {b}) is a self-loop; resolve it before this stage"
             )
     mapping = AdpToLceMapping(digraph_n=digraph.n, arcs=digraph.arcs)
-    pos: list[tuple[int, int]] = []
-    neg: list[tuple[int, int]] = []
-    for idx, (a, b) in enumerate(digraph.arcs):
-        c = mapping.checker_of(idx)
-        pos.append((mapping.s_vertex, c))
-        pos.append((c, mapping.align_of(a)))
-        neg.append((c, mapping.align_of(b)))
-    for v in range(1, digraph.n + 1):
-        neg.append((mapping.s_vertex, mapping.align_of(v)))
-    return build_signed_graph(1 + len(digraph.arcs) + digraph.n, pos, neg), mapping
+    m = len(digraph.arcs)
+    # Per arc, rows (s, c) and (c, align a) positive and (c, align b)
+    # negative, then (s, align v) per vertex: each with u < v, as s = 1 <
+    # checker 2 + idx < alignment 1 + m + v.
+    align = _pair_array(digraph.arcs) + (1 + m)
+    c = np.arange(2, m + 2)
+    pos = np.column_stack((np.ones_like(c), c, c, align[:, 0])).reshape(-1, 2)
+    align_v = np.arange(1, digraph.n + 1) + (1 + m)
+    s_align = np.column_stack((np.ones_like(align_v), align_v))
+    neg = np.concatenate((np.column_stack((c, align[:, 1])), s_align))
+    return _build_from_arrays(1 + m + digraph.n, pos, neg), mapping
 
 
 def adp_solution_to_lce_ordering(

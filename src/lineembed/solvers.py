@@ -29,11 +29,12 @@ BRUTE_FORCE_CAP = 10
 SUBSET_DP_CAP = 64
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _subset_universe(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(all subsets, subsets sorted by popcount, layer boundaries) for size n.
 
-    Graph-independent, so cached across solver calls; entries are read-only.
+    Graph-independent and cached for the last n only, so at most one 2^n
+    universe outlives a solve; entries are read-only.
     """
     subsets = np.arange(1 << n, dtype=np.int64)
     counts = np.bitwise_count(subsets).astype(np.int64)

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Optional
 
 from lineembed.core import build_signed_graph
-from lineembed.errors import LineEmbedError, ParseError
+from lineembed.errors import CapExceededError, LineEmbedError, ParseError
+from lineembed.reductions import Digraph, Partition, SetSystem, SplitterSolution
 
 SIDE_KEY = {"left": 0, "right": 1}
 
@@ -235,3 +237,86 @@ def parse_signed_graph_by_lines(text, source=None):
         return build_signed_graph(n, pos, neg)
     except LineEmbedError as exc:
         raise ParseError(str(exc), source, hdr_no) from exc
+
+
+# Brute-force solvers for the reduction chain's problems, at desk scale.
+SPLITTER_CAP = 20
+ADP_CAP = 20
+
+
+def solve_setsplitting_bruteforce(
+    sys: SetSystem, cap: int = SPLITTER_CAP
+) -> Optional[SplitterSolution]:
+    """First splitter in ascending bitmask order, or None."""
+    n = sys.universe_size
+    if n > cap:
+        raise CapExceededError(f"universe size {n} exceeds cap {cap}")
+    set_masks = [
+        (sum(1 << (e - 1) for e in members), len(members))
+        for members in sys.sets
+    ]
+    for mask in range(1 << n):
+        ok = True
+        for smask, size in set_masks:
+            hit = (mask & smask).bit_count()
+            if hit == 0 or hit == size:
+                ok = False
+                break
+        if ok:
+            return SplitterSolution(
+                frozenset(v + 1 for v in range(n) if mask >> v & 1)
+            )
+    return None
+
+
+def solve_adp_bruteforce(
+    digraph: Digraph, cap: int = ADP_CAP
+) -> Optional[Partition]:
+    """Exhaustive backtracking over part assignments.
+
+    Vertices are assigned in index order, part 1 tried first, and a branch
+    is cut as soon as the partly-built part contains a directed cycle (the
+    cycle persists in every completion, so nothing feasible is lost).  With
+    part 1 preferred, an arcless digraph yields part1 = V.
+    """
+    n = digraph.n
+    if n > cap:
+        raise CapExceededError(f"n={n} exceeds cap {cap}")
+    succ: list[list[int]] = [[] for _ in range(n + 1)]
+    for a, b in digraph.arcs:
+        succ[a].append(b)
+
+    side = [0] * (n + 1)  # 0 unassigned, else 1 or 2
+
+    def creates_cycle(v: int, p: int) -> bool:
+        # Path from a successor of v back to v inside part p implies a cycle
+        # through v among assigned vertices.
+        stack = [w for w in succ[v] if side[w] == p or w == v]
+        if v in stack:
+            return True  # self-loop
+        seen = set()
+        while stack:
+            w = stack.pop()
+            if w == v:
+                return True
+            if w in seen:
+                continue
+            seen.add(w)
+            stack.extend(x for x in succ[w] if side[x] == p or x == v)
+        return False
+
+    def assign(v: int) -> bool:
+        if v > n:
+            return True
+        for p in (1, 2):
+            if not creates_cycle(v, p):
+                side[v] = p
+                if assign(v + 1):
+                    return True
+                side[v] = 0
+        return False
+
+    if not assign(1):
+        return None
+    part1 = frozenset(v for v in range(1, n + 1) if side[v] == 1)
+    return Partition(part1, frozenset(range(1, n + 1)) - part1)

@@ -39,14 +39,16 @@ from lineembed.reductions import (
     sat_to_setsplitting,
     setsplitting_solution_to_adp,
     setsplitting_to_adp,
-    solve_adp_bruteforce,
-    solve_setsplitting_bruteforce,
     verify_adp,
     verify_setsplitting,
 )
 from lineembed.solvers import solve_bruteforce, solve_subset_dp
 
-from oracles import sat_assignments
+from oracles import (
+    sat_assignments,
+    solve_adp_bruteforce,
+    solve_setsplitting_bruteforce,
+)
 from test_core import all_sign_patterns, random_signed_graph
 
 ADP_VERIFY_CAP = 34  # largest gadget from n<=4, m<=4 formulas: 9 + 24 vertices

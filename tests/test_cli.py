@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from lineembed.formats import (
     parse_signed_graph,
     serialize_ordering_cert,
 )
+from lineembed.intervals import IntervalModel
 from lineembed.reductions import (
     Assignment,
     adp_solution_to_lce_ordering,
@@ -172,6 +174,23 @@ class TestVerify:
         cert = write(tmp_path, "claim.cert", "o INFEASIBLE\n")
         rc, _, err = run(capsys, "verify", inst, cert)
         assert rc == 2 and "infeasibility" in err
+
+    def test_model_validated_once(self, tmp_path, capsys, monkeypatch) -> None:
+        inst = write(tmp_path, "p3.sg", P3_TEXT)
+        model = str(tmp_path / "p3.model")
+        assert run(capsys, "solve", inst, "--model", model)[0] == 0
+        calls: list[int] = []
+        check = IntervalModel._sound.func
+
+        def counted(self):
+            calls.append(1)
+            return check(self)
+
+        counted_property = functools.cached_property(counted)
+        counted_property.__set_name__(IntervalModel, "_sound")
+        monkeypatch.setattr(IntervalModel, "_sound", counted_property)
+        rc, out, _ = run(capsys, "verify", inst, model)
+        assert (rc, out, len(calls)) == (0, "VALID\n", 1)
 
     def test_model_against_incomplete(self, tmp_path, capsys) -> None:
         inst = write(tmp_path, "sparse.sg", "p sg 2 0 0\n")

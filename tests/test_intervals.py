@@ -14,6 +14,7 @@ from lineembed.core import (
     positive_part,
     verify_embedding,
 )
+from lineembed.cli import _check_model
 from lineembed.errors import (
     InfeasibleOrderingError,
     ModelError,
@@ -29,6 +30,8 @@ from lineembed.intervals import (
     recognize_proper_interval,
     solve_complete,
 )
+from lineembed.formats import parse_signed_graph, serialize_signed_graph
+from lineembed.generators import gen_planted_complete
 
 from oracles import (
     feasible_orderings_brute,
@@ -277,6 +280,18 @@ class TestSolveComplete:
     def test_trivial_sizes(self) -> None:
         assert solve_complete(build_signed_graph(0, [], [])).seq == ()
         assert solve_complete(build_signed_graph(1, [], [])).seq == (1,)
+
+    def test_route_never_builds_the_negative_set(self) -> None:
+        # A parsed graph holds edge arrays; solving, modelling, verifying
+        # and the `i` certificate check read the positive set and the
+        # arrays only, never the (far larger) negative frozenset.
+        text = serialize_signed_graph(gen_planted_complete(200, seed=3))
+        g = parse_signed_graph(text)
+        ordering = solve_complete(g)
+        model = ordering_to_model(g, ordering)
+        assert verify_embedding(g, ordering).valid
+        assert _check_model(g, model, None) is None
+        assert "neg" not in vars(g)
 
     def test_verdict_matches_brute(self) -> None:
         rng = random.Random(2024)

@@ -1,6 +1,6 @@
 """Property tests: the verifier against the cubic oracle, the signed-graph
-text format round trip, and the signed-graph parser against the per-line
-reference parser.
+text format round trip, the signed-graph parser against the per-line
+reference parser, and the array constructor against build_signed_graph.
 
 Examples are derandomized and nothing is stored between runs, so every run
 checks the same graphs.
@@ -13,8 +13,15 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lineembed.core import Ordering, build_signed_graph, verify_embedding
-from lineembed.errors import ParseError
+from lineembed.core import (
+    Ordering,
+    SignedGraph,
+    _build_from_arrays,
+    _pair_array,
+    build_signed_graph,
+    verify_embedding,
+)
+from lineembed.errors import GraphError, ParseError
 from lineembed.formats import parse_signed_graph, serialize_signed_graph
 
 from oracles import parse_signed_graph_by_lines
@@ -187,3 +194,53 @@ def test_parser_matches_per_line_reference(text) -> None:
     assert parse_outcome(parse_signed_graph, text) == parse_outcome(
         parse_signed_graph_by_lines, text
     )
+
+
+@st.composite
+def endpoint_lists(draw):
+    """(n, positive pairs, negative pairs) as the parser may hand them over:
+    a drawn signed graph's pairs in drawn order, each in a drawn endpoint
+    order, with up to three faults inserted (an endpoint out of range or
+    beyond int64, a loop, a pair repeated within its sign, a pair given both
+    signs), and now and then a negative n or one too large for int64 keys."""
+    n = draw(st.integers(0, 8))
+    lists: dict[str, list[tuple[int, int]]] = {"+": [], "-": []}
+    for pair in itertools.combinations(range(1, n + 1), 2):
+        sign = draw(st.sampled_from("+-."))
+        if sign != ".":
+            lists[sign].append(pair[::-1] if draw(st.booleans()) else pair)
+    for _ in range(draw(st.integers(0, 3))):
+        sign = draw(st.sampled_from("+-"))
+        u = draw(st.integers(1, max(n, 1)))
+        fault = draw(st.sampled_from(["range", "loop", "repeat", "both"]))
+        if fault in ("repeat", "both") and lists[sign]:
+            pair = draw(st.sampled_from(lists[sign]))
+            pair = pair[::-1] if draw(st.booleans()) else pair
+            sign = {"repeat": sign, "both": "-" if sign == "+" else "+"}[fault]
+        elif fault == "loop":
+            pair = (u, u)
+        else:
+            pair = (u, draw(st.sampled_from([0, -1, n + 1, 2**63, -(2**63) - 1])))
+        lists[sign].insert(draw(st.integers(0, len(lists[sign]))), pair)
+    n = draw(st.sampled_from([n] * 8 + [-1, 2**40]))
+    return n, lists["+"], lists["-"]
+
+
+def build_outcome(build, n, pos, neg):
+    try:
+        return build(n, pos, neg)
+    except GraphError as exc:
+        return ("GraphError", str(exc))
+
+
+@settings(DETERMINISTIC, max_examples=1500)
+@given(endpoint_lists())
+def test_array_constructor_matches_build_signed_graph(case) -> None:
+    n, pos, neg = case
+    got = build_outcome(_build_from_arrays, n, _pair_array(pos), _pair_array(neg))
+    want = build_outcome(build_signed_graph, n, pos, neg)
+    assert got == want
+    if isinstance(want, SignedGraph):
+        assert (got.m_pos, got.m_neg) == (len(want.pos), len(want.neg))
+        assert sorted(map(tuple, got.pos_array.tolist())) == sorted(want.pos)
+        assert sorted(map(tuple, got.neg_array.tolist())) == sorted(want.neg)

@@ -29,8 +29,6 @@ from lineembed.reductions import (
     sat_to_setsplitting,
     setsplitting_solution_to_adp,
     setsplitting_to_adp,
-    solve_adp_bruteforce,
-    solve_setsplitting_bruteforce,
     unsplit_set_index,
     verify_adp,
     verify_setsplitting,
@@ -41,6 +39,8 @@ from oracles import (
     partition_exists_brute,
     partition_ok,
     sat_assignments,
+    solve_adp_bruteforce,
+    solve_setsplitting_bruteforce,
     splits_all,
     splitter_exists_brute,
 )

@@ -206,6 +206,13 @@ class TestTableSize:
         assert 0 < peak <= _table_bytes(n)
 
 
+    def test_one_universe_outlives_the_solves(self) -> None:
+        solvers._subset_universe.cache_clear()
+        for n in (16, 17):
+            solve_subset_dp(build_signed_graph(n, [], []))
+        assert solvers._subset_universe.cache_info().currsize == 1
+
+
 class TestReachabilityTable:
     def test_empty_prefix_always_reachable(self) -> None:
         rng = random.Random(55)
