@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
 )
 from .formats import (
+    _first_content_line,
     instance_kind,
     parse_assignment_cert,
     parse_cnf,
@@ -67,7 +68,6 @@ from .reductions import (
     sat_to_setsplitting,
     setsplitting_to_adp,
     unsplit_set_index,
-    verify_adp,
 )
 from .solvers import solve_bruteforce, solve_subset_dp
 
@@ -91,14 +91,12 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _cert_kind(text: str, source: str) -> str:
-    for raw in text.split("\n"):
-        tokens = raw.split()
-        if not tokens or tokens[0] == "c":
-            continue
-        if tokens[0] in _certs():
-            return tokens[0]
-        raise ParseError(f"unknown certificate line kind {tokens[0]!r}", source)
-    raise ParseError("empty certificate", source)
+    first = _first_content_line(text)
+    if first is None:
+        raise ParseError("empty certificate", source)
+    if first[1][0] not in _certs():
+        raise ParseError(f"unknown certificate line kind {first[1][0]!r}", source)
+    return first[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -338,59 +336,35 @@ def _cmd_lift(args: argparse.Namespace) -> int:
     cert_text, cert_source = _read(args.cert)
     mapping = parse_mapping(map_text, map_source)
     cert = _cert_kind(cert_text, cert_source)
-
+    # Per mapping: the certificate kind it lifts, the gadget that certificate
+    # is checked against, the lift, and the lifted kind and its instance.
     if isinstance(mapping, SatToSsMapping):
-        if cert != "x":
-            raise UsageError("a sat2ss mapping lifts a splitter certificate")
-        x = parse_splitter_cert(cert_text, cert_source)
-        cnf = mapping.formula()
-        if _check_splitter(sat_to_setsplitting(cnf)[0], x, cert_source) is not None:
-            print("INVALID: certificate does not split the gadget system")
-            return 1
-        return _emit_checked("v", cnf, lift_setsplitting_to_sat(x, mapping), args.out)
-
-    if isinstance(mapping, SsToAdpMapping):
-        if cert != "part":
-            raise UsageError("a ss2adp mapping lifts a partition certificate")
-        part = parse_partition_cert(cert_text, cert_source)
-        digraph = mapping.gadget_digraph()
-        if len(part.part1) + len(part.part2) != digraph.n:
-            raise ParseError(
-                f"partition covers {len(part.part1) + len(part.part2)} "
-                f"vertices, gadget has {digraph.n}",
-                cert_source,
-            )
-        if not verify_adp(digraph, part):
-            print("INVALID: a part of the certificate is cyclic in the gadget")
-            return 1
-        source_inst = build_set_system(mapping.universe_size, mapping.sets())
-        return _emit_checked(
-            "x", source_inst, lift_adp_to_setsplitting(part, mapping), args.out
-        )
-
-    # adp2lce and the composed chain both lift an ordering certificate.
-    if cert != "o":
-        raise UsageError("this mapping lifts an ordering certificate")
-    ordering = parse_ordering_cert(cert_text, cert_source)
-    if ordering is None:
+        wants, wrong = "x", "a sat2ss mapping lifts a splitter certificate"
+        kind, source_inst = "v", mapping.formula()
+        gadget, lift = sat_to_setsplitting(source_inst)[0], lift_setsplitting_to_sat
+    elif isinstance(mapping, SsToAdpMapping):
+        wants, wrong = "part", "a ss2adp mapping lifts a partition certificate"
+        kind, source_inst = "x", build_set_system(mapping.universe_size, mapping.sets())
+        gadget, lift = setsplitting_to_adp(source_inst)[0], lift_adp_to_setsplitting
+    else:
+        wants, wrong = "o", "this mapping lifts an ordering certificate"
+        if isinstance(mapping, SatToLceMapping):
+            kind, source_inst = "v", mapping.sat2ss.formula()
+            gadget, lift = mapping.adp2lce.gadget_graph(), lift_lce_to_sat
+        else:
+            kind, source_inst = "part", mapping.source_digraph()
+            gadget, lift = mapping.gadget_graph(), lift_lce_to_adp
+    if cert != wants:
+        raise UsageError(wrong)
+    spec = _certs()[cert]
+    reduced = spec.parse(cert_text, cert_source)
+    if reduced is None:
         raise UsageError("an infeasibility claim cannot be lifted")
-    adp_map = mapping.adp2lce if isinstance(mapping, SatToLceMapping) else mapping
-    gadget = adp_map.gadget_graph()
-    if len(ordering) != gadget.n:
-        raise ParseError(
-            f"ordering lists {len(ordering)} vertices, gadget has {gadget.n}",
-            cert_source,
-        )
-    if not verify_embedding(gadget, ordering).valid:
-        print("INVALID: certificate is not a feasible ordering of the gadget")
+    problem = spec.check(gadget, reduced, cert_source)
+    if problem is not None:
+        print(f"INVALID: {problem}")
         return 1
-    if isinstance(mapping, SatToLceMapping):
-        return _emit_checked(
-            "v", mapping.sat2ss.formula(), lift_lce_to_sat(ordering, mapping), args.out
-        )
-    return _emit_checked(
-        "part", mapping.source_digraph(), lift_lce_to_adp(ordering, mapping), args.out
-    )
+    return _emit_checked(kind, source_inst, lift(reduced, mapping), args.out)
 
 
 # ---------------------------------------------------------------------------

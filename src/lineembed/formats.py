@@ -4,6 +4,9 @@ All formats are line-based.  Lines starting with `c` are comments and blank
 lines are ignored.  Instance files open with a `p <kind> ...` header (kinds
 sg, cnf, ss, dg); certificate files are headerless.  Serializers emit a
 canonical form that parses back to an equal object.
+
+A mapping file is valid exactly when it is what `reduce --map` writes for
+the source instance it carries, so its numbering lives in `reductions` alone.
 """
 
 from __future__ import annotations
@@ -27,10 +30,14 @@ from .reductions import (
     SetSystem,
     SplitterSolution,
     SsToAdpMapping,
+    adp_to_lce,
     build_cnf,
     build_digraph,
     build_partition,
     build_set_system,
+    sat_to_lce,
+    sat_to_setsplitting,
+    setsplitting_to_adp,
 )
 
 AnyMapping = Union[SatToSsMapping, SsToAdpMapping, AdpToLceMapping, SatToLceMapping]
@@ -79,13 +86,29 @@ def _header(
     return no, [_int(t, source, no) for t in tokens[2:]]
 
 
+def _first_content_line(text: str) -> Optional[tuple[int, list[str]]]:
+    """(line number, tokens) of the first content line, or None; the text
+    after that line is not looked at."""
+    no, start = 1, 0
+    while True:
+        end = text.find("\n", start)
+        tokens = text[start : end if end >= 0 else len(text)].split()
+        if tokens and tokens[0] != "c":
+            return no, tokens
+        if end < 0:
+            return None
+        no, start = no + 1, end + 1
+
+
 def instance_kind(text: str, source: Optional[str] = None) -> str:
     """Kind tag from the first header line: sg, cnf, ss, dg or map."""
-    for no, tokens in _content_lines(text):
-        if tokens[0] != "p" or len(tokens) < 2:
-            raise ParseError("first content line must be a 'p' header", source, no)
-        return tokens[1]
-    raise ParseError("empty input", source, None)
+    first = _first_content_line(text)
+    if first is None:
+        raise ParseError("empty input", source, None)
+    no, tokens = first
+    if tokens[0] != "p" or len(tokens) < 2:
+        raise ParseError("first content line must be a 'p' header", source, no)
+    return tokens[1]
 
 
 # ---------------------------------------------------------------------------
@@ -526,165 +549,108 @@ def serialize_mapping(mapping: AnyMapping) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_sat2ss(
-    lines: list[tuple[int, list[str]]], source: Optional[str]
-) -> SatToSsMapping:
-    num_vars = num_clauses = special = None
-    origins: dict[int, tuple[str, int]] = {}
-    lit_of_elem: dict[int, int] = {}
-    clauses: list[tuple[int, ...]] = []
-    for no, tokens in lines:
-        if tokens[0] == "x" and len(tokens) == 3:
-            key, value = tokens[1], _int(tokens[2], source, no)
-            if key == "vars":
-                num_vars = value
-            elif key == "clauses":
-                num_clauses = value
-            elif key == "special":
-                special = value
-            else:
-                raise ParseError(f"unknown meta key {key!r}", source, no)
-        elif tokens[0] == "map" and len(tokens) == 4 and tokens[2] == "lit":
-            lit_of_elem[_int(tokens[1], source, no)] = _int(tokens[3], source, no)
-        elif tokens[0] == "map" and len(tokens) == 4 and tokens[2] in (
-            "varset",
-            "clauseset",
-        ):
-            idx = _int(tokens[1], source, no)
-            if idx in origins:
-                raise ParseError(f"duplicate origin for set {idx}", source, no)
-            origins[idx] = (tokens[2][:-3], _int(tokens[3], source, no))
-        elif tokens[0] == "src":
-            lits = [_int(t, source, no) for t in tokens[1:]]
-            if not lits or lits[-1] != 0:
-                raise ParseError("src clause must end with 0", source, no)
-            clauses.append(tuple(lits[:-1]))
-        else:
-            raise ParseError("unexpected line in sat2ss mapping", source, no)
-    if num_vars is None or num_clauses is None or special is None:
-        raise ParseError("sat2ss mapping misses an 'x' meta line", source, None)
-    if len(clauses) != num_clauses:
+Section = list[tuple[int, str]]  # (line number, tokens joined by one space)
+
+
+def _count(token: str, body: Section, source: Optional[str], no: int) -> int:
+    """A declared size, refused before a gadget that big is built when the
+    section is too short to hold a line per variable, element or vertex."""
+    value = _int(token, source, no)
+    if value > len(body):
         raise ParseError(
-            f"mapping declares {num_clauses} clauses, has {len(clauses)} src lines",
-            source,
-            None,
+            f"declares {value} items in a section of {len(body)} lines", source, no
         )
-    if sorted(origins) != list(range(1, num_vars + num_clauses + 1)):
-        raise ParseError("set origins are not contiguous from 1", source, None)
-    mapping = SatToSsMapping(
-        num_vars=num_vars,
-        clauses=tuple(clauses),
-        special=special,
-        set_origins=tuple(origins[i] for i in sorted(origins)),
-    )
-    for elem, lit in lit_of_elem.items():
-        if mapping.element_of(lit) != elem:
-            raise ParseError(
-                f"literal line maps {lit} to element {elem}, expected "
-                f"{mapping.element_of(lit)}",
-                source,
-                None,
-            )
-    if special != 2 * num_vars + 1:
-        raise ParseError("special element does not match the scheme", source, None)
-    return mapping
+    return value
 
 
-def _parse_ss2adp(
-    lines: list[tuple[int, list[str]]], source: Optional[str]
-) -> SsToAdpMapping:
-    universe = None
-    c_of: dict[tuple[int, int], int] = {}
-    d_seen: set[int] = set()
-    for no, tokens in lines:
-        if tokens[0] == "x" and len(tokens) == 3 and tokens[1] == "universe":
-            universe = _int(tokens[2], source, no)
-        elif tokens[0] == "map" and len(tokens) == 4 and tokens[2] == "d":
-            vertex = _int(tokens[1], source, no)
-            elem = _int(tokens[3], source, no)
-            if vertex != elem:
-                raise ParseError(
-                    f"element vertex {vertex} must equal element {elem}", source, no
-                )
-            d_seen.add(elem)
+def _cnf_source(body: Section, source: Optional[str]) -> CnfFormula:
+    """The formula of a sat2ss section: its `x vars` and `src` lines."""
+    num_vars, clauses = 0, []
+    for no, line in body:
+        tokens = line.split(" ")
+        if tokens[:2] == ["x", "vars"] and len(tokens) == 3:
+            num_vars = _count(tokens[2], body, source, no)
+        elif tokens[0] == "src":
+            clauses.append([_int(t, source, no) for t in tokens[1:-1]])
+    return build_cnf(num_vars, clauses)
+
+
+def _set_system_source(body: Section, source: Optional[str]) -> SetSystem:
+    """The set system of a ss2adp section: its `x universe` line and the
+    (set, element) pair of each `c` line."""
+    universe, members = 0, {}
+    for no, line in body:
+        tokens = line.split(" ")
+        if tokens[:2] == ["x", "universe"] and len(tokens) == 3:
+            universe = _count(tokens[2], body, source, no)
         elif tokens[0] == "map" and len(tokens) == 5 and tokens[2] == "c":
-            vertex = _int(tokens[1], source, no)
-            key = (_int(tokens[3], source, no), _int(tokens[4], source, no))
-            if key in c_of:
-                raise ParseError(f"duplicate membership vertex for {key}", source, no)
-            c_of[key] = vertex
-        else:
-            raise ParseError("unexpected line in ss2adp mapping", source, no)
-    if universe is None:
-        raise ParseError("ss2adp mapping misses 'x universe'", source, None)
-    if d_seen != set(range(1, universe + 1)):
-        raise ParseError("element vertex lines do not cover 1..universe", source, None)
-    return SsToAdpMapping(universe_size=universe, c_of=c_of)
+            elem = _int(tokens[4], source, no)
+            members.setdefault(_int(tokens[3], source, no), []).append(elem)
+    return build_set_system(universe, [members[i] for i in sorted(members)])
 
 
-def _parse_adp2lce(
-    lines: list[tuple[int, list[str]]], source: Optional[str]
-) -> AdpToLceMapping:
-    digraph_n = digraph_m = None
-    checkers: dict[int, tuple[int, int]] = {}
-    aligns: dict[int, int] = {}
-    saw_s = False
-    for no, tokens in lines:
-        if tokens[0] == "x" and len(tokens) == 4 and tokens[1] == "digraph":
-            digraph_n = _int(tokens[2], source, no)
-            digraph_m = _int(tokens[3], source, no)
-        elif tokens[0] == "map" and len(tokens) == 3 and tokens[2] == "s":
-            if _int(tokens[1], source, no) != 1:
-                raise ParseError("special vertex must be 1", source, no)
-            saw_s = True
+def _digraph_source(body: Section, source: Optional[str]) -> Digraph:
+    """The digraph of an adp2lce section: its `x digraph` line and the arcs
+    of the `checker` lines, in file order."""
+    n, arcs = 0, []
+    for no, line in body:
+        tokens = line.split(" ")
+        if tokens[:2] == ["x", "digraph"] and len(tokens) == 4:
+            n = _count(tokens[2], body, source, no)
         elif tokens[0] == "map" and len(tokens) == 5 and tokens[2] == "checker":
-            vertex = _int(tokens[1], source, no)
-            checkers[vertex] = (
-                _int(tokens[3], source, no),
-                _int(tokens[4], source, no),
-            )
-        elif tokens[0] == "map" and len(tokens) == 4 and tokens[2] == "align":
-            aligns[_int(tokens[1], source, no)] = _int(tokens[3], source, no)
-        else:
-            raise ParseError("unexpected line in adp2lce mapping", source, no)
-    if digraph_n is None or digraph_m is None:
-        raise ParseError("adp2lce mapping misses 'x digraph'", source, None)
-    if not saw_s:
-        raise ParseError("adp2lce mapping misses 'map 1 s'", source, None)
-    if sorted(checkers) != list(range(2, digraph_m + 2)):
-        raise ParseError("checker vertices are not 2..|A|+1", source, None)
-    arcs = tuple(checkers[v] for v in sorted(checkers))
-    mapping = AdpToLceMapping(digraph_n=digraph_n, arcs=arcs)
-    want_aligns = {mapping.align_of(v): v for v in range(1, digraph_n + 1)}
-    if aligns != want_aligns:
-        raise ParseError("alignment vertex lines do not match the scheme", source, None)
-    return mapping
+            arcs.append((_int(tokens[3], source, no), _int(tokens[4], source, no)))
+    return build_digraph(n, arcs)
+
+
+# Stage -> how to read its source instance, and the reduction that wrote it.
+_STAGES = {
+    "sat2ss": (_cnf_source, sat_to_setsplitting),
+    "ss2adp": (_set_system_source, setsplitting_to_adp),
+    "adp2lce": (_digraph_source, adp_to_lce),
+}
 
 
 def parse_mapping(text: str, source: Optional[str] = None) -> AnyMapping:
-    sections: list[tuple[str, list[tuple[int, list[str]]]]] = []
-    for no, tokens in _content_lines(text):
-        if tokens[0] == "p":
-            if len(tokens) != 3 or tokens[1] != "map":
-                raise ParseError("expected 'p map <stage>' header", source, no)
-            sections.append((tokens[2], []))
-        elif not sections:
-            raise ParseError("content before the first 'p map' header", source, no)
-        else:
-            sections[-1][1].append((no, tokens))
-    parsers = {"sat2ss": _parse_sat2ss, "ss2adp": _parse_ss2adp, "adp2lce": _parse_adp2lce}
-    parsed = []
-    for stage, lines in sections:
-        if stage not in parsers:
-            raise ParseError(f"unknown mapping stage {stage!r}", source, None)
-        parsed.append((stage, parsers[stage](lines, source)))
-    stages = [stage for stage, _ in parsed]
-    if stages in (["sat2ss"], ["ss2adp"], ["adp2lce"]):
-        return parsed[0][1]
-    if stages == ["sat2ss", "ss2adp", "adp2lce"]:
-        return SatToLceMapping(parsed[0][1], parsed[1][1], parsed[2][1])
-    raise ParseError(
-        "mapping file must hold one stage or the full sat2ss, ss2adp, adp2lce chain",
-        source,
-        None,
-    )
+    """Parse what `reduce --map` writes: one stage or the sat2lce chain.
+    The first section's source (for the chain, the sat2ss formula) is reduced
+    again; the content lines, spacing normalized, must be the serialization
+    of the result, and the first line that differs is the error."""
+    # Strings, not token lists, which the garbage collector would scan.
+    lines = [
+        (no, line)
+        for no, raw in enumerate(text.split("\n"), start=1)
+        if (line := " ".join(raw.split())) and line != "c" and line[:2] != "c "
+    ]
+    heads = [i for i, (_, line) in enumerate(lines) if line == "p" or line[:2] == "p "]
+    if lines and heads[:1] != [0]:
+        raise ParseError("content before the first 'p map' header", source, lines[0][0])
+    sections: list[tuple[str, int, Section]] = []
+    for i, end in zip(heads, heads[1:] + [len(lines)]):
+        no, tokens = lines[i][0], lines[i][1].split(" ")
+        if len(tokens) != 3 or tokens[1] != "map":
+            raise ParseError("expected 'p map <stage>' header", source, no)
+        if tokens[2] not in _STAGES:
+            raise ParseError(f"unknown mapping stage {tokens[2]!r}", source, no)
+        sections.append((tokens[2], no, lines[i + 1 : end]))
+    stages = [stage for stage, _, _ in sections]
+    if len(stages) != 1 and stages != ["sat2ss", "ss2adp", "adp2lce"]:
+        why = "mapping file must hold one stage or the full sat2ss, ss2adp, adp2lce chain"
+        raise ParseError(why, source, sections[-1][1] if sections else None)
+    stage, hdr_no, body = sections[0]
+    read, reduce = _STAGES[stage]
+    try:
+        instance = read(body, source)
+        mapping = (reduce if len(stages) == 1 else sat_to_lce)(instance)[1]
+    except ParseError:
+        raise
+    except LineEmbedError as exc:
+        raise ParseError(str(exc), source, hdr_no) from exc
+    # None stands for the end of the mapping, so a short or long file differs.
+    want = serialize_mapping(mapping).split("\n")[:-1] + [None]
+    got = [line for _, line in lines] + [None]
+    if got != want:
+        i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+        said = [repr(x) if x else "the end of the mapping" for x in (want[i], got[i])]
+        no = lines[min(i, len(lines) - 1)][0]
+        raise ParseError("expected {}, got {}".format(*said), source, no)
+    return mapping

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from lineembed.formats import (
     parse_model_cert,
     parse_ordering_cert,
     parse_signed_graph,
+    serialize_mapping,
     serialize_ordering_cert,
 )
 from lineembed.intervals import IntervalModel
@@ -335,6 +337,76 @@ class TestLift:
         cert = write(tmp_path, "o.cert", "o 1\n")
         rc, _, err = run(capsys, "lift", mapping, cert)
         assert rc == 2 and "splitter" in err
+
+    def test_invalid_cert_names_the_checkers_reason(self, tmp_path, capsys) -> None:
+        """Fails if lift prints a text of its own instead of the reason the
+        `verify` checker gives."""
+        inst = write(tmp_path, "f.cnf", XYZ_TEXT)
+        mapping = str(tmp_path / "f.map")
+        assert run(capsys, "reduce", "sat2ss", inst, "--map", mapping)[0] == 0
+        cert = write(tmp_path, "x.cert", "x 1\n")
+        assert run(capsys, "lift", mapping, cert) == (
+            1, "INVALID: set 2 is not split\n", ""
+        )
+
+    def test_chain_of_mixed_sections_exits_three(self, tmp_path, capsys) -> None:
+        """A chain whose sat2ss section comes from `1 0` and whose other two
+        sections come from `-1 0`, with a valid ordering of the `-1 0`
+        gadget.  Fails if parse_mapping rebuilds each section of a chain from
+        that section's own source instead of all three from the sat2ss one;
+        the lift then reaches its own check of the assignment and exits 5."""
+        _, ours = sat_to_lce(parse_cnf("p cnf 1 1\n1 0\n"))
+        _, theirs = sat_to_lce(parse_cnf("p cnf 1 1\n-1 0\n"))
+        mapping = write(
+            tmp_path,
+            "mixed.map",
+            serialize_mapping(ours.sat2ss)
+            + serialize_mapping(theirs.ss2adp)
+            + serialize_mapping(theirs.adp2lce),
+        )
+        x = sat_solution_to_setsplitting(Assignment((False,)), theirs.sat2ss)
+        part = setsplitting_solution_to_adp(x, theirs.ss2adp)
+        ordering = adp_solution_to_lce_ordering(part, theirs.adp2lce)
+        cert = write(tmp_path, "x.cert", serialize_ordering_cert(ordering))
+        out = tmp_path / "x.v"
+        rc, stdout, err = run(capsys, "lift", mapping, cert, "--out", str(out))
+        assert rc == 3 and f"{mapping}:17: expected 'map 6 c 2 1'" in err
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("p map adp2lce", "p map sat2ss"),
+            ("p map adp2lce", "p map adp2lce extra"),
+            ("p map adp2lce\n", "x digraph 2 2\np map adp2lce\n"),
+            ("x digraph 2 2", "x digraph -1 2"),
+            ("x digraph 2 2", "x digraph 1000000000000 2"),
+            ("map 1 s", "map 1 s 1"),
+            ("checker 2 1", "checker 2 2"),
+            ("checker 2 1", "checker 1 2"),
+            ("checker 2 1", "checker 2 one"),
+            ("map 5 align 2\n", ""),
+            ("map 5 align 2\n", "map 5 align 2\nmap 6 align 3\n"),
+        ],
+        ids=[
+            "stage-section-mismatch", "bad-header", "content-before-header",
+            "negative-size", "huge-size", "extra-token", "self-loop",
+            "repeated-arc", "not-an-integer", "short", "long",
+        ],
+    )
+    def test_malformed_mapping_exits_three_with_line(
+        self, tmp_path, capsys, old, new
+    ) -> None:
+        inst = write(tmp_path, "d.dg", TWO_CYCLE_TEXT)
+        mapping = str(tmp_path / "g.map")
+        assert run(capsys, "reduce", "adp2lce", inst, "--map", mapping)[0] == 0
+        text = Path(mapping).read_text()
+        assert old in text
+        Path(mapping).write_text(text.replace(old, new))
+        cert = write(tmp_path, "g.cert", "o 4 2 1 3 5\n")
+        rc, stdout, err = run(capsys, "lift", mapping, cert)
+        assert rc == 3 and re.match(rf"error: {re.escape(mapping)}:\d+: ", err), err
+        assert stdout == ""
 
 
 # Runs the CLI with a fault patched into it: argv[1] names the fault, the

@@ -383,6 +383,56 @@ class TestMappingFormat:
         with pytest.raises(ParseError):
             parse_mapping(text)
 
+    def test_rejects_off_scheme_membership_vertex(self) -> None:
+        """Fails if parse_mapping returns the rebuilt mapping without
+        comparing the file's lines to it: the vertex number of a `c` line
+        is not part of the section's source."""
+        sys, _ = sat_to_setsplitting(XYZ)
+        _, mapping = setsplitting_to_adp(sys)
+        text = serialize_mapping(mapping)
+        assert "map 8 c 1 1\n" in text
+        with pytest.raises(ParseError) as caught:
+            parse_mapping(text.replace("map 8 c 1 1\n", "map 9 c 1 1\n"), "m.map")
+        assert caught.value.line == 10
+        assert "expected 'map 8 c 1 1', got 'map 9 c 1 1'" in str(caught.value)
+
+    def test_comments_blank_lines_and_tabs_do_not_count(self) -> None:
+        _, mapping = sat_to_lce(XYZ)
+        lines = serialize_mapping(mapping).splitlines()
+        text = "c written by hand\n\n" + "".join(
+            "\t" + line.replace(" ", " \t ") + "  \n" + ("c note\n\n" if i % 3 else "")
+            for i, line in enumerate(lines)
+        )
+        assert parse_mapping(text) == parse_mapping("\n".join(lines)) == mapping
+
+    @pytest.mark.parametrize(
+        "old, new, line, expected",
+        [
+            # Fails if the SelfLoopError of adp_to_lce escapes parse_mapping
+            # instead of becoming a ParseError at the section header.
+            ("checker 2 1", "checker 2 2", 1, "self-loop"),
+            # Fails if the checker arcs become a Digraph without build_digraph:
+            # the gadget of a repeated arc repeats no edge.
+            ("checker 2 1", "checker 1 2", 1, "duplicate arc"),
+            ("map 5 align 2\n", "", 6, "got the end"),
+            ("align 2\n", "align 2\nmap 6 align 3\n", 8, "expected the end"),
+            ("x digraph 2 2", "x digraph x 2", 2, "integer"),
+            ("x digraph 2 2", "x digraph 99 2", 2, "declares 99"),
+            ("p map adp2lce", "p map adp", 1, "unknown"),
+        ],
+        ids=[
+            "self-loop", "repeated-arc", "short", "long", "not-an-integer",
+            "too-many-vertices", "stage",
+        ],
+    )
+    def test_rejects_edited_adp2lce(self, old, new, line, expected) -> None:
+        _, mapping = adp_to_lce(TWO_CYCLE)
+        text = serialize_mapping(mapping)
+        assert old in text
+        with pytest.raises(ParseError) as caught:
+            parse_mapping(text.replace(old, new), "m.map")
+        assert caught.value.line == line and expected in str(caught.value)
+
 
 class TestInstanceKind:
     def test_detects_all_kinds(self) -> None:

@@ -1,6 +1,7 @@
 """Property tests: the verifier against the cubic oracle, the signed-graph
 text format round trip, the signed-graph parser against the per-line
-reference parser, and the array constructor against build_signed_graph.
+reference parser, the array constructor against build_signed_graph, and
+the mapping text format of every reduction stage and of the chain.
 
 Examples are derandomized and nothing is stored between runs, so every run
 checks the same graphs.
@@ -22,7 +23,21 @@ from lineembed.core import (
     verify_embedding,
 )
 from lineembed.errors import GraphError, ParseError
-from lineembed.formats import parse_signed_graph, serialize_signed_graph
+from lineembed.formats import (
+    parse_mapping,
+    parse_signed_graph,
+    serialize_mapping,
+    serialize_signed_graph,
+)
+from lineembed.reductions import (
+    adp_to_lce,
+    build_cnf,
+    build_digraph,
+    build_set_system,
+    sat_to_lce,
+    sat_to_setsplitting,
+    setsplitting_to_adp,
+)
 
 from oracles import parse_signed_graph_by_lines
 from test_core import assert_matches_naive
@@ -244,3 +259,79 @@ def test_array_constructor_matches_build_signed_graph(case) -> None:
         assert (got.m_pos, got.m_neg) == (len(want.pos), len(want.neg))
         assert sorted(map(tuple, got.pos_array.tolist())) == sorted(want.pos)
         assert sorted(map(tuple, got.neg_array.tolist())) == sorted(want.neg)
+
+
+@st.composite
+def cnfs(draw):
+    num_vars = draw(st.integers(0, 4))
+    clauses = []
+    for _ in range(draw(st.integers(0, 4)) if num_vars else 0):
+        chosen = st.lists(st.integers(1, num_vars), min_size=1, max_size=3, unique=True)
+        clauses.append([v if draw(st.booleans()) else -v for v in draw(chosen)])
+    return build_cnf(num_vars, clauses)
+
+
+@st.composite
+def set_systems(draw):
+    universe = draw(st.integers(0, 6))
+    if universe == 0:
+        return build_set_system(0, [])
+    members = st.lists(st.integers(1, universe), min_size=1, max_size=4, unique=True)
+    return build_set_system(universe, draw(st.lists(members, max_size=4)))
+
+
+@st.composite
+def loopless_digraphs(draw):
+    n = draw(st.integers(0, 5))
+    pairs = list(itertools.permutations(range(1, n + 1), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True)) if pairs else []
+    return build_digraph(n, chosen)
+
+
+# One strategy per stage and one for the chain, each giving the mapping
+# that `reduce --map` writes.
+MAPPINGS = st.one_of(
+    cnfs().map(lambda cnf: sat_to_setsplitting(cnf)[1]),
+    set_systems().map(lambda sys: setsplitting_to_adp(sys)[1]),
+    loopless_digraphs().map(lambda digraph: adp_to_lce(digraph)[1]),
+    cnfs().map(lambda cnf: sat_to_lce(cnf)[1]),
+)
+# Tokens a mutation writes in place of one of the text's tokens: numbers
+# in and out of every range drawn here, numbers spelled other than
+# canonically, and every word of the format.
+TOKENS = st.one_of(
+    st.integers(-3, 25).map(str),
+    st.sampled_from(
+        [
+            "1000000000000", "+1", "01", "1_0", "x1",
+            "p", "map", "x", "c", "src", "s", "d", "lit", "varset", "clauseset",
+            "checker", "align", "vars", "clauses", "special", "universe",
+            "digraph", "sat2ss", "ss2adp", "adp2lce", "sat2lce",
+        ]
+    ),
+)
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(MAPPINGS)
+def test_mapping_text_round_trip(mapping) -> None:
+    text = serialize_mapping(mapping)
+    assert parse_mapping(text) == mapping
+    assert serialize_mapping(parse_mapping(text)) == text
+
+
+@settings(DETERMINISTIC, max_examples=1000)
+@given(MAPPINGS, st.data())
+def test_mapping_with_one_token_changed(mapping, data) -> None:
+    """A mapping text with one token replaced is refused, or it is what
+    `reduce --map` writes for the mapping it parses to."""
+    lines = [line.split() for line in serialize_mapping(mapping).splitlines()]
+    row = data.draw(st.integers(0, len(lines) - 1))
+    col = data.draw(st.integers(0, len(lines[row]) - 1))
+    lines[row][col] = data.draw(TOKENS)
+    text = "".join(" ".join(tokens) + "\n" for tokens in lines)
+    try:
+        parsed = parse_mapping(text)
+    except ParseError:
+        return
+    assert serialize_mapping(parsed) == text
