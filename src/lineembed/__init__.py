@@ -17,7 +17,7 @@ from .intervals import (
     recognize_proper_interval,
     solve_complete,
 )
-from .solvers import is_good, solve_bruteforce, solve_subset_dp
+from .solvers import solve_bruteforce, solve_subset_dp
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,6 @@ __all__ = [
     "Violation",
     "build_signed_graph",
     "is_complete",
-    "is_good",
     "model_to_ordering",
     "ordering_to_model",
     "positive_part",

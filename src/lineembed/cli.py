@@ -24,18 +24,18 @@ from .errors import (
     ParseError,
 )
 from .formats import (
-    _first_content_line,
+    _content_lines,
     instance_kind,
     parse_assignment_cert,
     parse_cnf,
     parse_digraph,
-    parse_mapping,
     parse_model_cert,
     parse_ordering_cert,
     parse_partition_cert,
     parse_set_system,
     parse_signed_graph,
     parse_splitter_cert,
+    read_mapping,
     serialize_assignment_cert,
     serialize_cnf,
     serialize_digraph,
@@ -54,19 +54,12 @@ from .generators import (
 )
 from .intervals import model_intersection_graph, ordering_to_model, solve_complete
 from .reductions import (
-    SatToLceMapping,
-    SatToSsMapping,
-    SsToAdpMapping,
-    adp_to_lce,
     adp_violation,
-    build_set_system,
     lift_adp_to_setsplitting,
     lift_lce_to_adp,
     lift_lce_to_sat,
     lift_setsplitting_to_sat,
-    sat_to_lce,
-    sat_to_setsplitting,
-    setsplitting_to_adp,
+    stage_reductions,
     unsplit_set_index,
 )
 from .solvers import solve_bruteforce, solve_subset_dp
@@ -91,7 +84,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _cert_kind(text: str, source: str) -> str:
-    first = _first_content_line(text)
+    first = next(_content_lines(text), None)
     if first is None:
         raise ParseError("empty certificate", source)
     if first[1][0] not in _certs():
@@ -178,6 +171,7 @@ class _CertKind(NamedTuple):
     name: str
     instance: str  # the instance kind this certificate kind applies to
     parse_instance: Callable
+    serialize_instance: Callable
     parse: Callable
     serialize: Callable
     check: Callable
@@ -188,25 +182,42 @@ def _certs() -> dict[str, _CertKind]:
     so a function replaced after import (a test fake, a tracer) is used."""
     return {
         "o": _CertKind(
-            "ordering", "sg", parse_signed_graph, parse_ordering_cert,
-            serialize_ordering_cert, _check_ordering,
+            "ordering", "sg", parse_signed_graph, serialize_signed_graph,
+            parse_ordering_cert, serialize_ordering_cert, _check_ordering,
         ),
         "i": _CertKind(
-            "interval model", "sg", parse_signed_graph, parse_model_cert,
-            serialize_model_cert, _check_model,
+            "interval model", "sg", parse_signed_graph, serialize_signed_graph,
+            parse_model_cert, serialize_model_cert, _check_model,
         ),
         "x": _CertKind(
-            "splitter", "ss", parse_set_system, parse_splitter_cert,
-            serialize_splitter_cert, _check_splitter,
+            "splitter", "ss", parse_set_system, serialize_set_system,
+            parse_splitter_cert, serialize_splitter_cert, _check_splitter,
         ),
         "part": _CertKind(
-            "partition", "dg", parse_digraph, parse_partition_cert,
-            serialize_partition_cert, _check_partition,
+            "partition", "dg", parse_digraph, serialize_digraph,
+            parse_partition_cert, serialize_partition_cert, _check_partition,
         ),
         "v": _CertKind(
-            "assignment", "cnf", parse_cnf, parse_assignment_cert,
-            serialize_assignment_cert, _check_assignment,
+            "assignment", "cnf", parse_cnf, serialize_cnf,
+            parse_assignment_cert, serialize_assignment_cert, _check_assignment,
         ),
+    }
+
+
+class _Stage(NamedTuple):
+    source: str  # certificate kind of the instance the stage reads
+    target: str  # certificate kind of the instance it writes
+    lift: Callable  # (target certificate, mapping) -> source certificate
+
+
+def _stages() -> dict[str, _Stage]:
+    """Reduction stage -> the certificate kinds on both sides of it and the
+    lift that undoes it.  Built per call, as _certs() is."""
+    return {
+        "sat2ss": _Stage("v", "x", lift_setsplitting_to_sat),
+        "ss2adp": _Stage("x", "part", lift_adp_to_setsplitting),
+        "adp2lce": _Stage("part", "o", lift_lce_to_adp),
+        "sat2lce": _Stage("v", "o", lift_lce_to_sat),
     }
 
 
@@ -302,25 +313,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     text, source = _read(args.instance)
     kind = instance_kind(text, source)
-    stage = args.stage
-    expected = {"sat2ss": "cnf", "ss2adp": "ss", "adp2lce": "dg", "sat2lce": "cnf"}
-    if kind != expected[stage]:
+    stage = _stages()[args.stage]
+    reads, writes = _certs()[stage.source], _certs()[stage.target]
+    if kind != reads.instance:
         raise UsageError(
-            f"stage {stage} starts from a {expected[stage]} instance, got {kind}"
+            f"stage {args.stage} starts from a {reads.instance} instance, got {kind}"
         )
-    if stage == "sat2ss":
-        out_obj, mapping = sat_to_setsplitting(parse_cnf(text, source))
-        out_text = serialize_set_system(out_obj)
-    elif stage == "ss2adp":
-        out_obj, mapping = setsplitting_to_adp(parse_set_system(text, source))
-        out_text = serialize_digraph(out_obj)
-    elif stage == "adp2lce":
-        out_obj, mapping = adp_to_lce(parse_digraph(text, source))
-        out_text = serialize_signed_graph(out_obj)
-    else:
-        out_obj, mapping = sat_to_lce(parse_cnf(text, source))
-        out_text = serialize_signed_graph(out_obj)
-    _emit(out_text, args.out)
+    reduce = stage_reductions()[args.stage]
+    out_obj, mapping = reduce(reads.parse_instance(text, source))
+    _emit(writes.serialize_instance(out_obj), args.out)
     if args.map is not None:
         _emit(serialize_mapping(mapping), args.map)
     return 0
@@ -334,37 +335,23 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_lift(args: argparse.Namespace) -> int:
     map_text, map_source = _read(args.mapping)
     cert_text, cert_source = _read(args.cert)
-    mapping = parse_mapping(map_text, map_source)
+    stage, source_inst, reduced_inst, mapping = read_mapping(map_text, map_source)
+    row = _stages()[stage]
     cert = _cert_kind(cert_text, cert_source)
-    # Per mapping: the certificate kind it lifts, the gadget that certificate
-    # is checked against, the lift, and the lifted kind and its instance.
-    if isinstance(mapping, SatToSsMapping):
-        wants, wrong = "x", "a sat2ss mapping lifts a splitter certificate"
-        kind, source_inst = "v", mapping.formula()
-        gadget, lift = sat_to_setsplitting(source_inst)[0], lift_setsplitting_to_sat
-    elif isinstance(mapping, SsToAdpMapping):
-        wants, wrong = "part", "a ss2adp mapping lifts a partition certificate"
-        kind, source_inst = "x", build_set_system(mapping.universe_size, mapping.sets())
-        gadget, lift = setsplitting_to_adp(source_inst)[0], lift_adp_to_setsplitting
-    else:
-        wants, wrong = "o", "this mapping lifts an ordering certificate"
-        if isinstance(mapping, SatToLceMapping):
-            kind, source_inst = "v", mapping.sat2ss.formula()
-            gadget, lift = mapping.adp2lce.gadget_graph(), lift_lce_to_sat
-        else:
-            kind, source_inst = "part", mapping.source_digraph()
-            gadget, lift = mapping.gadget_graph(), lift_lce_to_adp
-    if cert != wants:
-        raise UsageError(wrong)
+    if cert != row.target:
+        raise UsageError(
+            f"the {stage} mapping lifts {_certs()[row.target].name} "
+            f"certificates ('{row.target}' lines), not '{cert}'"
+        )
     spec = _certs()[cert]
     reduced = spec.parse(cert_text, cert_source)
     if reduced is None:
         raise UsageError("an infeasibility claim cannot be lifted")
-    problem = spec.check(gadget, reduced, cert_source)
+    problem = spec.check(reduced_inst, reduced, cert_source)
     if problem is not None:
         print(f"INVALID: {problem}")
         return 1
-    return _emit_checked(kind, source_inst, lift(reduced, mapping), args.out)
+    return _emit_checked(row.source, source_inst, row.lift(reduced, mapping), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_reduce = sub.add_parser("reduce", help="translate an instance one stage down")
-    p_reduce.add_argument(
-        "stage", choices=("sat2ss", "ss2adp", "adp2lce", "sat2lce")
-    )
+    p_reduce.add_argument("stage", choices=tuple(_stages()))
     p_reduce.add_argument("instance", help="source instance file")
     p_reduce.add_argument("--out", help="write the produced instance here")
     p_reduce.add_argument("--map", help="write the reduction mapping here")

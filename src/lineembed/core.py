@@ -202,13 +202,6 @@ class Ordering:
         """Vertex -> rank, ranks 1..n."""
         return {v: i + 1 for i, v in enumerate(self.seq)}
 
-    @cached_property
-    def rank_array(self) -> np.ndarray:
-        """rank_array[v] = rank of v; index 0 unused (0)."""
-        rank = np.zeros(len(self.seq) + 1, dtype=np.int64)
-        rank[list(self.seq)] = np.arange(1, len(self.seq) + 1)
-        return rank
-
     def __len__(self) -> int:
         return len(self.seq)
 
@@ -266,7 +259,8 @@ def verify_embedding(g: SignedGraph, ordering: Ordering) -> VerificationResult:
     if n == 0:
         return VALID
 
-    rank = ordering.rank_array
+    rank = np.zeros(n + 1, dtype=np.int64)  # rank[v] of v, index 0 unused
+    rank[list(ordering.seq)] = np.arange(1, n + 1)
     hi = np.int64(n + 1)
 
     def _side_extremes(arr: np.ndarray, far: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -30,32 +30,39 @@ from .reductions import (
     SetSystem,
     SplitterSolution,
     SsToAdpMapping,
-    adp_to_lce,
     build_cnf,
     build_digraph,
     build_partition,
     build_set_system,
-    sat_to_lce,
-    sat_to_setsplitting,
-    setsplitting_to_adp,
+    stage_reductions,
 )
 
 AnyMapping = Union[SatToSsMapping, SsToAdpMapping, AdpToLceMapping, SatToLceMapping]
 
 
-def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
-    """(1-based line number, tokens) for every non-blank non-comment line."""
-    return _tokenized(enumerate(text.split("\n"), start=1))
-
-
 def _tokenized(
     numbered: Iterable[tuple[int, str]],
 ) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of each content line: one that is not blank and
+    whose first token is not `c`.  Lazy, so no token list outlives its line."""
     for no, raw in numbered:
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
             continue
         yield no, tokens
+
+
+def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, tokens) of each content line of text.  The text
+    is split at newlines about 4 KiB at a time, so a reader that stops early
+    leaves the rest of it unsplit."""
+    no, start = 1, 0
+    while start <= len(text):
+        end = text.find("\n", start + 4096)
+        end = len(text) if end < 0 else end
+        block = text[start:end].split("\n")
+        yield from _tokenized(enumerate(block, start=no))
+        no, start = no + len(block), end + 1
 
 
 def _int(token: str, source: Optional[str], line: int) -> int:
@@ -66,15 +73,17 @@ def _int(token: str, source: Optional[str], line: int) -> int:
 
 
 def _header(
-    lines: list[tuple[int, list[str]]],
+    lines: Iterator[tuple[int, list[str]]],
     kind: str,
     count: int,
     source: Optional[str],
 ) -> tuple[int, list[int]]:
-    """Check `p <kind>` with `count` integer fields; return (line, fields)."""
-    if not lines:
+    """Read `p <kind>` with `count` integer fields off the front of lines;
+    return (line, fields)."""
+    first = next(lines, None)
+    if first is None:
         raise ParseError("empty input", source, None)
-    no, tokens = lines[0]
+    no, tokens = first
     if tokens[0] != "p" or len(tokens) < 2 or tokens[1] != kind:
         raise ParseError(f"expected 'p {kind}' header", source, no)
     if len(tokens) != 2 + count:
@@ -86,23 +95,9 @@ def _header(
     return no, [_int(t, source, no) for t in tokens[2:]]
 
 
-def _first_content_line(text: str) -> Optional[tuple[int, list[str]]]:
-    """(line number, tokens) of the first content line, or None; the text
-    after that line is not looked at."""
-    no, start = 1, 0
-    while True:
-        end = text.find("\n", start)
-        tokens = text[start : end if end >= 0 else len(text)].split()
-        if tokens and tokens[0] != "c":
-            return no, tokens
-        if end < 0:
-            return None
-        no, start = no + 1, end + 1
-
-
 def instance_kind(text: str, source: Optional[str] = None) -> str:
     """Kind tag from the first header line: sg, cnf, ss, dg or map."""
-    first = _first_content_line(text)
+    first = next(_content_lines(text), None)
     if first is None:
         raise ParseError("empty input", source, None)
     no, tokens = first
@@ -203,21 +198,19 @@ def parse_signed_graph(text: str, source: Optional[str] = None) -> SignedGraph:
     fast = np.zeros(len(starts), bool)
     fast[fast_no - 1] = True
     slow_at = np.flatnonzero(~fast)
-    lines = list(
-        _tokenized(
-            (i + 1, encoded[a:b].decode("utf-8", "surrogatepass"))
-            for i, a, b in zip(
-                slow_at.tolist(), starts[slow_at].tolist(), ends[slow_at].tolist()
-            )
+    lines = _tokenized(
+        (i + 1, encoded[a:b].decode("utf-8", "surrogatepass"))
+        for i, a, b in zip(
+            slow_at.tolist(), starts[slow_at].tolist(), ends[slow_at].tolist()
         )
     )
     hdr_no, (n, m_pos, m_neg) = _header(lines, "sg", 3, source)
-    slow = [_edge(tokens, source, no) for no, tokens in lines[1:]]
-    slow_no = np.array([no for no, _ in lines[1:]], np.int64)
+    slow = [(no, *_edge(tokens, source, no)) for no, tokens in lines]
+    slow_no = np.array([row[0] for row in slow], np.int64)
     order = np.argsort(np.concatenate((fast_no, slow_no)), kind="stable")
-    slow_plus = np.array([sign == "+" for sign, _, _ in slow], bool)
+    slow_plus = np.array([row[1] == "+" for row in slow], bool)
     plus = np.concatenate((plus, slow_plus))[order]
-    slow_pairs = _pair_array([(a, b) for _, a, b in slow])
+    slow_pairs = _pair_array([row[2:] for row in slow])
     edges = np.concatenate((np.column_stack((u, v)), slow_pairs))[order]
     pos, neg = edges[plus], edges[~plus]
     if (len(pos), len(neg)) != (m_pos, m_neg):
@@ -244,10 +237,10 @@ def serialize_cnf(cnf: CnfFormula) -> str:
 
 
 def parse_cnf(text: str, source: Optional[str] = None) -> CnfFormula:
-    lines = list(_content_lines(text))
+    lines = _content_lines(text)
     hdr_no, (num_vars, num_clauses) = _header(lines, "cnf", 2, source)
     clauses: list[tuple[int, ...]] = []
-    for no, tokens in lines[1:]:
+    for no, tokens in lines:
         lits = [_int(t, source, no) for t in tokens]
         if not lits or lits[-1] != 0:
             raise ParseError("clause line must end with 0", source, no)
@@ -283,11 +276,11 @@ def serialize_set_system(sys: SetSystem) -> str:
 
 
 def parse_set_system(text: str, source: Optional[str] = None) -> SetSystem:
-    lines = list(_content_lines(text))
+    lines = _content_lines(text)
     hdr_no, (universe, num_sets) = _header(lines, "ss", 2, source)
     special: Optional[int] = None
     sets: list[tuple[int, ...]] = []
-    for no, tokens in lines[1:]:
+    for no, tokens in lines:
         if tokens[0] == "x":
             if len(tokens) != 3 or tokens[1] != "special":
                 raise ParseError("expected 'x special <element>'", source, no)
@@ -330,10 +323,10 @@ def serialize_digraph(digraph: Digraph) -> str:
 
 
 def parse_digraph(text: str, source: Optional[str] = None) -> Digraph:
-    lines = list(_content_lines(text))
+    lines = _content_lines(text)
     hdr_no, (n, m) = _header(lines, "dg", 2, source)
     arcs: list[tuple[int, int]] = []
-    for no, tokens in lines[1:]:
+    for no, tokens in lines:
         if tokens[0] != "a" or len(tokens) != 3:
             raise ParseError("expected 'a <from> <to>'", source, no)
         arcs.append((_int(tokens[1], source, no), _int(tokens[2], source, no)))
@@ -352,6 +345,16 @@ def parse_digraph(text: str, source: Optional[str] = None) -> Digraph:
 # ---------------------------------------------------------------------------
 
 
+def _single_line(text: str, kind: str, source: Optional[str]) -> tuple[int, list[str]]:
+    """(line number, tokens after the kind) of a certificate that is one
+    `<kind> ...` line."""
+    lines = _content_lines(text)
+    first = next(lines, None)
+    if first is None or first[1][0] != kind or next(lines, None) is not None:
+        raise ParseError(f"expected a single '{kind} ...' line", source, None)
+    return first[0], first[1][1:]
+
+
 def serialize_ordering_cert(ordering: Optional[Ordering]) -> str:
     if ordering is None:
         return "o INFEASIBLE\n"
@@ -361,13 +364,10 @@ def serialize_ordering_cert(ordering: Optional[Ordering]) -> str:
 def parse_ordering_cert(
     text: str, source: Optional[str] = None
 ) -> Optional[Ordering]:
-    lines = list(_content_lines(text))
-    if len(lines) != 1 or lines[0][1][0] != "o":
-        raise ParseError("expected a single 'o ...' line", source, None)
-    no, tokens = lines[0]
-    if tokens[1:] == ["INFEASIBLE"]:
+    no, tokens = _single_line(text, "o", source)
+    if tokens == ["INFEASIBLE"]:
         return None
-    seq = [_int(t, source, no) for t in tokens[1:]]
+    seq = [_int(t, source, no) for t in tokens]
     try:
         return Ordering.from_seq(seq)
     except LineEmbedError as exc:
@@ -450,11 +450,8 @@ def serialize_splitter_cert(x: SplitterSolution) -> str:
 def parse_splitter_cert(
     text: str, source: Optional[str] = None
 ) -> SplitterSolution:
-    lines = list(_content_lines(text))
-    if len(lines) != 1 or lines[0][1][0] != "x":
-        raise ParseError("expected a single 'x ...' line", source, None)
-    no, tokens = lines[0]
-    elems = [_int(t, source, no) for t in tokens[1:]]
+    no, tokens = _single_line(text, "x", source)
+    elems = [_int(t, source, no) for t in tokens]
     if len(set(elems)) != len(elems):
         raise ParseError("chosen elements repeat", source, no)
     return SplitterSolution(frozenset(elems))
@@ -469,11 +466,8 @@ def serialize_assignment_cert(assignment: Assignment) -> str:
 
 
 def parse_assignment_cert(text: str, source: Optional[str] = None) -> Assignment:
-    lines = list(_content_lines(text))
-    if len(lines) != 1 or lines[0][1][0] != "v":
-        raise ParseError("expected a single 'v ...' line", source, None)
-    no, tokens = lines[0]
-    lits = [_int(t, source, no) for t in tokens[1:]]
+    no, tokens = _single_line(text, "v", source)
+    lits = [_int(t, source, no) for t in tokens]
     if not lits or lits[-1] != 0:
         raise ParseError("assignment line must end with 0", source, no)
     lits = lits[:-1]
@@ -531,22 +525,28 @@ def _serialize_adp2lce(m: AdpToLceMapping) -> list[str]:
     return out
 
 
+def _serialize_sat2lce(m: SatToLceMapping) -> list[str]:
+    return (
+        _serialize_sat2ss(m.sat2ss)
+        + _serialize_ss2adp(m.ss2adp)
+        + _serialize_adp2lce(m.adp2lce)
+    )
+
+
+# Mapping class -> its sections' lines.
+_MAPPING_LINES = {
+    SatToSsMapping: _serialize_sat2ss,
+    SsToAdpMapping: _serialize_ss2adp,
+    AdpToLceMapping: _serialize_adp2lce,
+    SatToLceMapping: _serialize_sat2lce,
+}
+
+
 def serialize_mapping(mapping: AnyMapping) -> str:
-    if isinstance(mapping, SatToSsMapping):
-        lines = _serialize_sat2ss(mapping)
-    elif isinstance(mapping, SsToAdpMapping):
-        lines = _serialize_ss2adp(mapping)
-    elif isinstance(mapping, AdpToLceMapping):
-        lines = _serialize_adp2lce(mapping)
-    elif isinstance(mapping, SatToLceMapping):
-        lines = (
-            _serialize_sat2ss(mapping.sat2ss)
-            + _serialize_ss2adp(mapping.ss2adp)
-            + _serialize_adp2lce(mapping.adp2lce)
-        )
-    else:
+    write = _MAPPING_LINES.get(type(mapping))
+    if write is None:
         raise TypeError(f"not a mapping object: {mapping!r}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(write(mapping)) + "\n"
 
 
 Section = list[tuple[int, str]]  # (line number, tokens joined by one space)
@@ -602,25 +602,25 @@ def _digraph_source(body: Section, source: Optional[str]) -> Digraph:
     return build_digraph(n, arcs)
 
 
-# Stage -> how to read its source instance, and the reduction that wrote it.
-_STAGES = {
-    "sat2ss": (_cnf_source, sat_to_setsplitting),
-    "ss2adp": (_set_system_source, setsplitting_to_adp),
-    "adp2lce": (_digraph_source, adp_to_lce),
+# Section stage -> how to read its source instance.
+_SOURCES = {
+    "sat2ss": _cnf_source,
+    "ss2adp": _set_system_source,
+    "adp2lce": _digraph_source,
 }
 
 
-def parse_mapping(text: str, source: Optional[str] = None) -> AnyMapping:
-    """Parse what `reduce --map` writes: one stage or the sat2lce chain.
+def read_mapping(
+    text: str, source: Optional[str] = None
+) -> tuple[str, object, object, AnyMapping]:
+    """Read what `reduce --map` writes: one stage or the sat2lce chain, as
+    (stage, source instance, reduced instance, mapping).
+
     The first section's source (for the chain, the sat2ss formula) is reduced
     again; the content lines, spacing normalized, must be the serialization
     of the result, and the first line that differs is the error."""
     # Strings, not token lists, which the garbage collector would scan.
-    lines = [
-        (no, line)
-        for no, raw in enumerate(text.split("\n"), start=1)
-        if (line := " ".join(raw.split())) and line != "c" and line[:2] != "c "
-    ]
+    lines = [(no, " ".join(tokens)) for no, tokens in _content_lines(text)]
     heads = [i for i, (_, line) in enumerate(lines) if line == "p" or line[:2] == "p "]
     if lines and heads[:1] != [0]:
         raise ParseError("content before the first 'p map' header", source, lines[0][0])
@@ -629,18 +629,18 @@ def parse_mapping(text: str, source: Optional[str] = None) -> AnyMapping:
         no, tokens = lines[i][0], lines[i][1].split(" ")
         if len(tokens) != 3 or tokens[1] != "map":
             raise ParseError("expected 'p map <stage>' header", source, no)
-        if tokens[2] not in _STAGES:
+        if tokens[2] not in _SOURCES:
             raise ParseError(f"unknown mapping stage {tokens[2]!r}", source, no)
         sections.append((tokens[2], no, lines[i + 1 : end]))
     stages = [stage for stage, _, _ in sections]
     if len(stages) != 1 and stages != ["sat2ss", "ss2adp", "adp2lce"]:
         why = "mapping file must hold one stage or the full sat2ss, ss2adp, adp2lce chain"
         raise ParseError(why, source, sections[-1][1] if sections else None)
-    stage, hdr_no, body = sections[0]
-    read, reduce = _STAGES[stage]
+    first, hdr_no, body = sections[0]
+    stage = first if len(stages) == 1 else "sat2lce"
     try:
-        instance = read(body, source)
-        mapping = (reduce if len(stages) == 1 else sat_to_lce)(instance)[1]
+        instance = _SOURCES[first](body, source)
+        reduced, mapping = stage_reductions()[stage](instance)
     except ParseError:
         raise
     except LineEmbedError as exc:
@@ -653,4 +653,10 @@ def parse_mapping(text: str, source: Optional[str] = None) -> AnyMapping:
         said = [repr(x) if x else "the end of the mapping" for x in (want[i], got[i])]
         no = lines[min(i, len(lines) - 1)][0]
         raise ParseError("expected {}, got {}".format(*said), source, no)
-    return mapping
+    return stage, instance, reduced, mapping
+
+
+def parse_mapping(text: str, source: Optional[str] = None) -> AnyMapping:
+    """The mapping of what `reduce --map` writes, checked as read_mapping
+    checks it."""
+    return read_mapping(text, source)[3]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -185,11 +185,6 @@ def unsplit_set_index(sys: SetSystem, x: SplitterSolution) -> Optional[int]:
     return None
 
 
-def verify_setsplitting(sys: SetSystem, x: SplitterSolution) -> bool:
-    """Every set must contain a chosen and a non-chosen element."""
-    return unsplit_set_index(sys, x) is None
-
-
 def _kahn(
     vertices: frozenset[int], digraph: Digraph
 ) -> tuple[list[int], Optional[list[int]]]:
@@ -247,11 +242,6 @@ def adp_violation(digraph: Digraph, part: Partition) -> Optional[tuple[int, list
     return None
 
 
-def verify_adp(digraph: Digraph, part: Partition) -> bool:
-    """Both induced sub-digraphs must be acyclic."""
-    return adp_violation(digraph, part) is None
-
-
 # ---------------------------------------------------------------------------
 # Stage 1: CNF -> set splitting
 # ---------------------------------------------------------------------------
@@ -274,9 +264,6 @@ class SatToSsMapping:
     def literal_of(self, element: int) -> int:
         var = (element + 1) // 2
         return var if element % 2 else -var
-
-    def formula(self) -> CnfFormula:
-        return CnfFormula(self.num_vars, self.clauses)
 
 
 def sat_to_setsplitting(cnf: CnfFormula) -> tuple[SetSystem, SatToSsMapping]:
@@ -309,7 +296,7 @@ def sat_solution_to_setsplitting(
 
     Raises ReductionError unless the assignment satisfies the formula.
     """
-    if not eval_cnf(mapping.formula(), assignment):
+    if not eval_cnf(CnfFormula(mapping.num_vars, mapping.clauses), assignment):
         raise ReductionError("assignment does not satisfy the formula")
     return SplitterSolution(
         frozenset(
@@ -360,10 +347,6 @@ class SsToAdpMapping:
             tuple(sorted(grouped[idx])) for idx in sorted(grouped)
         )
 
-    def gadget_digraph(self) -> Digraph:
-        sys = build_set_system(self.universe_size, self.sets())
-        return setsplitting_to_adp(sys)[0]
-
 
 def setsplitting_to_adp(sys: SetSystem) -> tuple[Digraph, SsToAdpMapping]:
     """One element vertex per universe member, one membership vertex per
@@ -401,7 +384,7 @@ def setsplitting_solution_to_adp(
     Raises ReductionError unless X splits the mapping's set system.
     """
     sys = build_set_system(mapping.universe_size, mapping.sets())
-    if not verify_setsplitting(sys, x):
+    if unsplit_set_index(sys, x) is not None:
         raise ReductionError("splitter does not split the set system")
     part1 = set(x.chosen)
     for (_, elem), c in mapping.c_of.items():
@@ -446,9 +429,6 @@ class AdpToLceMapping:
 
     def source_digraph(self) -> Digraph:
         return Digraph(self.digraph_n, self.arcs)
-
-    def gadget_graph(self) -> SignedGraph:
-        return adp_to_lce(self.source_digraph())[0]
 
 
 def adp_to_lce(digraph: Digraph) -> tuple[SignedGraph, AdpToLceMapping]:
@@ -556,8 +536,7 @@ class SatToLceMapping:
 
 
 def sat_to_lce(cnf: CnfFormula) -> tuple[SignedGraph, SatToLceMapping]:
-    """Full chain; the intermediate gadgets are rebuilt deterministically
-    from the composed mapping whenever a lift needs them."""
+    """Full chain; the mapping holds the three stage mappings."""
     sys, m1 = sat_to_setsplitting(cnf)
     digraph, m2 = setsplitting_to_adp(sys)
     graph, m3 = adp_to_lce(digraph)
@@ -568,3 +547,14 @@ def lift_lce_to_sat(ordering: Ordering, mapping: SatToLceMapping) -> Assignment:
     part = lift_lce_to_adp(ordering, mapping.adp2lce)
     x = lift_adp_to_setsplitting(part, mapping.ss2adp)
     return lift_setsplitting_to_sat(x, mapping.sat2ss)
+
+
+def stage_reductions() -> dict[str, Callable]:
+    """Stage name, as `reduce` and mapping files spell it -> the reduction
+    it runs.  Built per call, so a function replaced after import is used."""
+    return {
+        "sat2ss": sat_to_setsplitting,
+        "ss2adp": setsplitting_to_adp,
+        "adp2lce": adp_to_lce,
+        "sat2lce": sat_to_lce,
+    }

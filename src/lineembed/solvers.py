@@ -18,12 +18,12 @@ import os
 import resource
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .core import Edge, Graph, Ordering, SignedGraph
-from .errors import CapExceededError, GraphError, MembershipError
+from .errors import CapExceededError
 
 BRUTE_FORCE_CAP = 10
 SUBSET_DP_CAP = 64
@@ -50,40 +50,6 @@ def _masks(n: int, edges: frozenset[Edge]) -> tuple[int, ...]:
         masks[u] |= 1 << (v - 1)
         masks[v] |= 1 << (u - 1)
     return tuple(masks)
-
-
-def is_good(g: SignedGraph, v: int, chosen: Iterable[int]) -> bool:
-    """Can v be placed directly after the prefix set `chosen`?
-
-    Raises MembershipError when v is already in the set; GraphError when v
-    or a set member is outside 1..n.
-    """
-    if not 1 <= v <= g.n:
-        raise GraphError(f"vertex {v} out of range 1..{g.n}")
-    x_mask = 0
-    for w in chosen:
-        if not 1 <= w <= g.n:
-            raise GraphError(f"vertex {w} out of range 1..{g.n}")
-        x_mask |= 1 << (w - 1)
-    v_bit = 1 << (v - 1)
-    if x_mask & v_bit:
-        raise MembershipError(f"vertex {v} is already in the chosen set")
-    outside = ((1 << g.n) - 1) & ~x_mask & ~v_bit
-    pos, neg = _masks(g.n, g.pos), _masks(g.n, g.neg)
-
-    m = neg[v] & x_mask
-    while m:  # placed negative neighbours must have no positive edge outward
-        b = m & -m
-        m ^= b
-        if pos[b.bit_length()] & outside:
-            return False
-    m = neg[v] & outside
-    while m:  # unplaced negative neighbours must have no positive edge inward
-        b = m & -m
-        m ^= b
-        if pos[b.bit_length()] & x_mask:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +138,6 @@ class ReachabilityTable:
     n: int
     reachable: np.ndarray
     chosen: np.ndarray
-
-    def is_reachable(self, mask: int) -> bool:
-        return bool(self.reachable[mask])
-
-    def chosen_vertex(self, mask: int) -> int:
-        return int(self.chosen[mask])
 
 
 def _bad_extension_masks(g: SignedGraph) -> np.ndarray:

@@ -11,8 +11,21 @@ from fractions import Fraction
 from typing import Optional
 
 from lineembed.core import build_signed_graph
-from lineembed.errors import CapExceededError, LineEmbedError, ParseError
-from lineembed.reductions import Digraph, Partition, SetSystem, SplitterSolution
+from lineembed.errors import (
+    CapExceededError,
+    GraphError,
+    LineEmbedError,
+    MembershipError,
+    ParseError,
+)
+from lineembed.reductions import (
+    Digraph,
+    Partition,
+    SetSystem,
+    SplitterSolution,
+    adp_violation,
+    unsplit_set_index,
+)
 
 SIDE_KEY = {"left": 0, "right": 1}
 
@@ -320,3 +333,54 @@ def solve_adp_bruteforce(
         return None
     part1 = frozenset(v for v in range(1, n + 1) if side[v] == 1)
     return Partition(part1, frozenset(range(1, n + 1)) - part1)
+
+
+# --- Per-entry views of the package's solver and verifier results ---------
+
+
+def is_good(g, v, chosen):
+    """Can v be placed directly after the prefix set `chosen`?  Straight from
+    the prefix characterization: (a) no placed negative neighbour of v keeps
+    a positive neighbour outside chosen + {v}, and (b) no unplaced negative
+    neighbour of v has a positive neighbour inside chosen.
+
+    Raises MembershipError when v is already in the set; GraphError when v
+    or a set member is outside 1..n.
+    """
+    chosen = list(chosen)
+    for w in [v, *chosen]:
+        if not 1 <= w <= g.n:
+            raise GraphError(f"vertex {w} out of range 1..{g.n}")
+    placed = set(chosen)
+    if v in placed:
+        raise MembershipError(f"vertex {v} is already in the chosen set")
+
+    def nbrs(edges, u):
+        return {a + b - u for a, b in edges if u in (a, b)}
+
+    for w in nbrs(g.neg, v):
+        if w in placed and nbrs(g.pos, w) - placed - {v}:
+            return False
+        if w not in placed and nbrs(g.pos, w) & placed:
+            return False
+    return True
+
+
+def is_reachable(table, mask):
+    """Does some feasible prefix realize exactly the vertex set `mask`?"""
+    return bool(table.reachable[mask])
+
+
+def chosen_vertex(table, mask):
+    """The vertex the DP table places last for `mask` (0 where unreachable)."""
+    return int(table.chosen[mask])
+
+
+def verify_setsplitting(sys, x):
+    """Every set must contain a chosen and a non-chosen element."""
+    return unsplit_set_index(sys, x) is None
+
+
+def verify_adp(digraph, part):
+    """Both induced sub-digraphs must be acyclic."""
+    return adp_violation(digraph, part) is None

@@ -39,8 +39,6 @@ from lineembed.reductions import (
     sat_to_setsplitting,
     setsplitting_solution_to_adp,
     setsplitting_to_adp,
-    verify_adp,
-    verify_setsplitting,
 )
 from lineembed.solvers import solve_bruteforce, solve_subset_dp
 
@@ -48,6 +46,8 @@ from oracles import (
     sat_assignments,
     solve_adp_bruteforce,
     solve_setsplitting_bruteforce,
+    verify_adp,
+    verify_setsplitting,
 )
 from test_core import all_sign_patterns, random_signed_graph
 
@@ -332,7 +332,7 @@ def test_criterion_5_lifting_soundness() -> None:
         chains += 1
         graph, mapping = sat_to_lce(cnf)
         sys_inst, _ = sat_to_setsplitting(cnf)
-        digraph = mapping.ss2adp.gadget_digraph()
+        digraph, _ = setsplitting_to_adp(sys_inst)
 
         x = sat_solution_to_setsplitting(psi, mapping.sat2ss)
         if not verify_setsplitting(sys_inst, x):

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import lineembed.core
+import lineembed.reductions
 from lineembed.cli import main
 from lineembed.formats import (
     parse_cnf,
@@ -40,6 +41,14 @@ CLAW_TEXT = (
 )
 XYZ_TEXT = "p cnf 3 1\n1 2 3 0\n"
 TWO_CYCLE_TEXT = "p dg 2 2\na 1 2\na 2 1\n"
+# Per reduction stage: a source instance, a certificate of a kind that
+# stage's lift does not take, and the name of the kind it does take.
+STAGE_CASES = {
+    "sat2ss": (XYZ_TEXT, "o 1\n", "splitter"),
+    "ss2adp": ("p ss 2 1\ns 2 1 2\n", "x 1\n", "partition"),
+    "adp2lce": (TWO_CYCLE_TEXT, "part 1 1\npart 2 2\n", "ordering"),
+    "sat2lce": ("p cnf 1 1\n1 0\n", "v 1 0\n", "ordering"),
+}
 # Instances on which the identity ordering 1 2 3 is infeasible.
 SPARSE_TEXT = "p sg 3 1 1\ne + 1 3\ne - 2 3\n"
 COMPLETE_TEXT = "p sg 3 1 2\ne + 1 3\ne - 1 2\ne - 2 3\n"
@@ -322,21 +331,42 @@ class TestLift:
         rc, out, _ = run(capsys, "lift", mapping, cert)
         assert rc == 1 and "INVALID" in out
 
-    def test_infeasibility_claim_rejected(self, tmp_path, capsys) -> None:
-        inst = write(tmp_path, "d.dg", TWO_CYCLE_TEXT)
+    @pytest.mark.parametrize("stage", ["adp2lce", "sat2lce"])
+    def test_infeasibility_claim_rejected(self, tmp_path, capsys, stage) -> None:
+        inst = write(tmp_path, "source", STAGE_CASES[stage][0])
         mapping = str(tmp_path / "g.map")
-        assert run(capsys, "reduce", "adp2lce", inst, "--map", mapping)[0] == 0
+        assert run(capsys, "reduce", stage, inst, "--map", mapping)[0] == 0
         cert = write(tmp_path, "claim.cert", "o INFEASIBLE\n")
         rc, _, err = run(capsys, "lift", mapping, cert)
         assert rc == 2 and "lifted" in err
 
-    def test_cert_kind_mismatch(self, tmp_path, capsys) -> None:
-        inst = write(tmp_path, "f.cnf", XYZ_TEXT)
+    @pytest.mark.parametrize("stage", list(STAGE_CASES))
+    def test_cert_kind_mismatch(self, tmp_path, capsys, stage) -> None:
+        text, wrong, wants = STAGE_CASES[stage]
+        inst = write(tmp_path, "source", text)
         mapping = str(tmp_path / "f.map")
-        assert run(capsys, "reduce", "sat2ss", inst, "--map", mapping)[0] == 0
-        cert = write(tmp_path, "o.cert", "o 1\n")
-        rc, _, err = run(capsys, "lift", mapping, cert)
-        assert rc == 2 and "splitter" in err
+        assert run(capsys, "reduce", stage, inst, "--map", mapping)[0] == 0
+        cert = write(tmp_path, "wrong.cert", wrong)
+        rc, out, err = run(capsys, "lift", mapping, cert)
+        assert rc == 2 and out == "" and wants in err
+
+    def test_sat2lce_lift_builds_the_gadget_once(
+        self, tmp_path, capsys, monkeypatch
+    ) -> None:
+        """Fails if lift builds the LCE gadget again after the mapping check
+        built it."""
+        text = "p cnf 1 1\n1 0\n"
+        mapping = str(tmp_path / "x.map")
+        assert run(capsys, "reduce", "sat2lce", write(tmp_path, "x.cnf", text),
+                   "--map", mapping)[0] == 0
+        _, chain = sat_to_lce(parse_cnf(text))
+        x = sat_solution_to_setsplitting(Assignment((True,)), chain.sat2ss)
+        part = setsplitting_solution_to_adp(x, chain.ss2adp)
+        ordering = adp_solution_to_lce_ordering(part, chain.adp2lce)
+        cert = write(tmp_path, "x.cert", serialize_ordering_cert(ordering))
+        calls = count_calls(monkeypatch, lineembed.reductions, "adp_to_lce")
+        assert run(capsys, "lift", mapping, cert) == (0, "v 1 0\n", "")
+        assert len(calls) == 1
 
     def test_invalid_cert_names_the_checkers_reason(self, tmp_path, capsys) -> None:
         """Fails if lift prints a text of its own instead of the reason the
@@ -453,21 +483,26 @@ def run_with_fault(flags: list[str], fault: str, *argv: str):
     return run_python(flags, "-c", FAULT_DRIVER, fault, *argv)
 
 
-@pytest.fixture
-def verify_calls(monkeypatch) -> list[int]:
-    """Count calls of verify_embedding through every lineembed module."""
+def count_calls(monkeypatch, owner, attr: str) -> list[int]:
+    """Count calls of owner.attr through every lineembed module binding it."""
     calls: list[int] = []
-    original = lineembed.core.verify_embedding
+    original = getattr(owner, attr)
 
-    def counted(g, ordering):
+    def counted(*args):
         calls.append(1)
-        return original(g, ordering)
+        return original(*args)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "lineembed":
-            if getattr(module, "verify_embedding", None) is original:
-                monkeypatch.setattr(module, "verify_embedding", counted)
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+@pytest.fixture
+def verify_calls(monkeypatch) -> list[int]:
+    """Count calls of verify_embedding through every lineembed module."""
+    return count_calls(monkeypatch, lineembed.core, "verify_embedding")
 
 
 class TestCertificateChecks:

@@ -30,8 +30,6 @@ from lineembed.reductions import (
     setsplitting_solution_to_adp,
     setsplitting_to_adp,
     unsplit_set_index,
-    verify_adp,
-    verify_setsplitting,
 )
 from lineembed.solvers import solve_subset_dp
 
@@ -43,6 +41,8 @@ from oracles import (
     solve_setsplitting_bruteforce,
     splits_all,
     splitter_exists_brute,
+    verify_adp,
+    verify_setsplitting,
 )
 
 XYZ = build_cnf(3, [(1, 2, 3)])
@@ -316,7 +316,8 @@ class TestSetsplittingToAdp:
             (17, 14),
         )
         assert mapping.sets() == sys.sets
-        assert mapping.gadget_digraph() == digraph
+        rebuilt = build_set_system(mapping.universe_size, mapping.sets())
+        assert setsplitting_to_adp(rebuilt)[0] == digraph
 
     def test_singleton_set_self_loop(self) -> None:
         digraph, _ = setsplitting_to_adp(build_set_system(1, [(1,)]))
@@ -388,7 +389,7 @@ class TestAdpToLce:
         assert mapping.checker_of(1) == 3
         assert mapping.align_of(1) == 4
         assert mapping.align_of(2) == 5
-        assert mapping.gadget_graph() == graph
+        assert adp_to_lce(mapping.source_digraph())[0] == graph
 
     def test_sizes_random(self) -> None:
         rng = random.Random(78)

@@ -14,14 +14,19 @@ from lineembed import solvers
 from lineembed.core import Ordering, build_signed_graph, verify_embedding
 from lineembed.errors import CapExceededError, GraphError, MembershipError
 from lineembed.solvers import (
-    is_good,
     reachability_table,
     solve_bruteforce,
     solve_subset_dp,
 )
 from lineembed.solvers import _bad_extension_masks, _table_bytes
 
-from oracles import feasible_orderings_brute, naive_feasible
+from oracles import (
+    chosen_vertex,
+    feasible_orderings_brute,
+    is_good,
+    is_reachable,
+    naive_feasible,
+)
 from test_core import all_sign_patterns, random_signed_graph
 
 P3 = build_signed_graph(3, [(1, 2), (2, 3)], [(1, 3)])
@@ -218,7 +223,7 @@ class TestReachabilityTable:
         rng = random.Random(55)
         for _ in range(50):
             g = random_signed_graph(rng, rng.randint(0, 6))
-            assert reachability_table(g).is_reachable(0)
+            assert is_reachable(reachability_table(g), 0)
 
     def test_chosen_transitions_are_good(self) -> None:
         # Every recorded transition must be backed by the scalar predicate
@@ -229,21 +234,21 @@ class TestReachabilityTable:
             g = random_signed_graph(rng, n)
             table = reachability_table(g)
             for mask in range(1, 1 << n):
-                if not table.is_reachable(mask):
-                    assert table.chosen_vertex(mask) == 0
+                if not is_reachable(table, mask):
+                    assert chosen_vertex(table, mask) == 0
                     continue
-                v = table.chosen_vertex(mask)
+                v = chosen_vertex(table, mask)
                 assert mask >> (v - 1) & 1
                 prev = mask ^ (1 << (v - 1))
                 members = {w + 1 for w in range(n) if prev >> w & 1}
-                assert table.is_reachable(prev)
+                assert is_reachable(table, prev)
                 assert is_good(g, v, members)
                 for smaller in range(1, v):
                     if not mask >> (smaller - 1) & 1:
                         continue
                     prev2 = mask ^ (1 << (smaller - 1))
                     assert not (
-                        table.is_reachable(prev2)
+                        is_reachable(table, prev2)
                         and is_good(g, smaller, {w + 1 for w in range(n) if prev2 >> w & 1})
                     )
 
@@ -253,6 +258,6 @@ class TestReachabilityTable:
             n = rng.randint(1, 6)
             g = random_signed_graph(rng, n)
             table = reachability_table(g)
-            assert table.is_reachable((1 << n) - 1) == bool(
+            assert is_reachable(table, (1 << n) - 1) == bool(
                 feasible_orderings_brute(g)
             )
