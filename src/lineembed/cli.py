@@ -391,6 +391,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    """Time the full subset DP table (reachability_table, not the frontier
+    DP that `solve` runs) per size, and print the median doubling ratio."""
     if args.max_n < args.min_n:
         raise UsageError("--max-n must be at least --min-n")
     report = run_bench(
@@ -483,7 +485,9 @@ def _build_parser() -> argparse.ArgumentParser:
     g_cnf.add_argument("--out")
     g_cnf.set_defaults(func=_cmd_gen)
 
-    p_bench = sub.add_parser("bench", help="time the subset DP on random instances")
+    p_bench = sub.add_parser(
+        "bench", help="time the full 2^n subset DP table on random instances"
+    )
     p_bench.add_argument("--min-n", type=int, default=14)
     p_bench.add_argument("--max-n", type=int, default=20)
     p_bench.add_argument("--per-size", type=int, default=5)
@@ -509,7 +513,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 5
     except MemoryError:
-        # The subset DP predicts its table's size before allocating it; this
+        # The subset DP predicts each layer's size before allocating it; this
         # is the safety net for any other allocation that does not fit.
         print(
             "error: instance needs more memory than is available",

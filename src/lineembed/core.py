@@ -208,9 +208,6 @@ class Ordering:
     def __iter__(self) -> Iterator[int]:
         return iter(self.seq)
 
-    def reversed(self) -> "Ordering":
-        return Ordering(tuple(reversed(self.seq)))
-
 
 @dataclass(frozen=True)
 class Violation:

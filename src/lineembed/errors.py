@@ -29,10 +29,6 @@ class ModelError(LineEmbedError, ValueError):
     """An interval model violates a structural invariant."""
 
 
-class MembershipError(LineEmbedError, ValueError):
-    """A vertex was (or was not) in a set contrary to a precondition."""
-
-
 class CapExceededError(LineEmbedError, RuntimeError):
     """Instance size exceeds the solver's configured cap."""
 

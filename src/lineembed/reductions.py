@@ -261,10 +261,6 @@ class SatToSsMapping:
     def element_of(self, lit: int) -> int:
         return 2 * abs(lit) - 1 if lit > 0 else 2 * abs(lit)
 
-    def literal_of(self, element: int) -> int:
-        var = (element + 1) // 2
-        return var if element % 2 else -var
-
 
 def sat_to_setsplitting(cnf: CnfFormula) -> tuple[SetSystem, SatToSsMapping]:
     """Per-variable pair sets plus per-clause sets through a shared special

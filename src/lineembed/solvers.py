@@ -1,7 +1,7 @@
 """Exact feasibility solvers for arbitrary signed graphs.
 
 Two routes: a lexicographic backtracking search over orderings (the small
-oracle), and a subset dynamic program over 2^n prefix sets.  The DP rests on
+oracle), and a subset dynamic program over prefix sets.  The DP rests on
 the prefix characterization: an ordering is feasible iff each vertex v is
 "good" for the set X of vertices placed before it, meaning
 
@@ -9,6 +9,13 @@ the prefix characterization: an ordering is feasible iff each vertex v is
       outside X union {v}, and
   (b) no unplaced negative neighbour of v (other than v) has a positive
       neighbour inside X.
+
+Both clauses only look at v's component of G+ union G-.  solve_subset_dp
+therefore runs the DP per component, expanding only the reachable prefix
+sets layer by layer (a frontier), and checks each layer's predicted memory
+before it allocates.  reachability_table fills all 2^n sets at once: it is
+the reference the frontier is tested against and the O*(2^n) series that
+`bench` times.
 """
 
 from __future__ import annotations
@@ -17,39 +24,30 @@ import math
 import os
 import resource
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Edge, Graph, Ordering, SignedGraph
+from .core import Graph, Ordering, SignedGraph
 from .errors import CapExceededError
 
 BRUTE_FORCE_CAP = 10
 SUBSET_DP_CAP = 64
 
 
-@lru_cache(maxsize=1)
-def _subset_universe(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(all subsets, subsets sorted by popcount, layer boundaries) for size n.
-
-    Graph-independent and cached for the last n only, so at most one 2^n
-    universe outlives a solve; entries are read-only.
-    """
-    subsets = np.arange(1 << n, dtype=np.int64)
-    counts = np.bitwise_count(subsets).astype(np.int64)
+def _subset_universe(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(subsets sorted by popcount, layer boundaries) for size n."""
+    counts = np.bitwise_count(np.arange(1 << n, dtype=np.int64)).astype(np.int64)
     by_count = np.argsort(counts, kind="stable").astype(np.int64)
     bounds = np.searchsorted(counts[by_count], np.arange(n + 2))
-    return subsets, by_count, bounds
+    return by_count, bounds
 
 
-def _masks(n: int, edges: frozenset[Edge]) -> tuple[int, ...]:
-    """Per-vertex bitmask of neighbours (bit w-1), index 0 unused."""
-    masks = [0] * (n + 1)
-    for u, v in edges:
-        masks[u] |= 1 << (v - 1)
-        masks[v] |= 1 << (u - 1)
-    return tuple(masks)
+def _local_masks(verts: Sequence[int], adj: Sequence[Sequence[int]]) -> list[int]:
+    """Neighbour masks local to verts: entry i has bit j set when verts[j]
+    is a neighbour of verts[i] (adj: adjacency lists indexed by vertex)."""
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    return [sum(bit[w] for w in adj[v]) for v in verts]
 
 
 # ---------------------------------------------------------------------------
@@ -151,22 +149,67 @@ def _bad_extension_masks(g: SignedGraph) -> np.ndarray:
     """
     n = g.n
     size = 1 << n
-    subsets = _subset_universe(n)[0]
+    subsets = np.arange(size, dtype=np.int64)
     bad = np.zeros(size, dtype=np.int64)
     zero = np.int64(0)
-    pos, neg = _masks(n, g.pos), _masks(n, g.neg)
-    for w in range(1, n + 1):
+    verts = range(1, n + 1)
+    pos = _local_masks(verts, Graph(n, g.pos).adj)
+    neg = _local_masks(verts, Graph(n, g.neg).adj)
+    for w in range(n):
         nw = np.int64(neg[w])
         if nw == 0:
             continue
         pw = np.int64(pos[w])
-        w_in = (subsets & np.int64(1 << (w - 1))) != 0
+        w_in = (subsets & np.int64(1 << w)) != 0
         out_w = pw & ~subsets
         inside = (pw & subsets) != 0
         lone = (out_w != 0) & ((out_w & (out_w - 1)) == 0)
         spare = np.where(lone, out_w, zero)
         bad |= np.where(w_in & (out_w != 0), nw & ~spare, zero)
         bad |= np.where(~w_in & inside, nw, zero)
+    return bad
+
+
+def _witnesses(pos: Sequence[int], neg: Sequence[int]) -> list[np.ndarray]:
+    """[vertices, positive masks, negative masks] of the witnesses, as uint64
+    arrays: the vertices with positive and negative neighbours, the only
+    ones that can block another vertex."""
+    wit = [w for w in range(len(pos)) if pos[w] and neg[w]]
+    return [
+        np.array(column, dtype=np.uint64)
+        for column in (wit, [pos[w] for w in wit], [neg[w] for w in wit])
+    ]
+
+
+# Cells (frontier sets x witnesses or vertices) per chunk of the frontier's
+# matrices: _frontier_bad_masks' blocks and _next_layer's candidates.
+_CHUNK_CELLS = 1 << 15
+
+
+def _frontier_bad_masks(
+    sets: np.ndarray, wit: np.ndarray, pw: np.ndarray, nw: np.ndarray
+) -> np.ndarray:
+    """The rule of _bad_extension_masks for a frontier: bad[j] has bit i set
+    when local vertex i (not in sets[j]) is NOT good for sets[j].
+
+    sets are uint64 local masks and wit, pw, nw come from _witnesses.  All
+    witnesses are taken at once, one column each, over chunks of at most
+    _CHUNK_CELLS sets x witnesses, so the matrices stay small however wide
+    the frontier is.
+    """
+    bad = np.empty_like(sets)
+    rows = max(1, _CHUNK_CELLS // max(1, len(wit)))
+    for start in range(0, len(sets), rows):
+        chunk = sets[start : start + rows, None]
+        w_in = ((chunk >> wit) & np.uint64(1)) != 0
+        out_w = pw & ~chunk
+        spare = np.where((out_w & (out_w - np.uint64(1))) == 0, out_w, np.uint64(0))
+        block = np.where(
+            w_in,
+            np.where(out_w != 0, nw & ~spare, np.uint64(0)),  # (a) w placed
+            np.where(out_w != pw, nw, np.uint64(0)),  # (b) w unplaced
+        )
+        bad[start : start + rows] = np.bitwise_or.reduce(block, axis=1)
     return bad
 
 
@@ -180,14 +223,18 @@ def _table_bytes(n: int) -> int:
     return 72 * (1 << n) + 32 * math.comb(n, n // 2) * n
 
 
-def _check_table_fits(n: int) -> None:
-    """Raise CapExceededError when the predicted fill exceeds memory: the
-    smaller of physical memory and the address-space soft limit."""
-    need = _table_bytes(n)
+def _available_bytes() -> int:
+    """The smaller of physical memory and the address-space soft limit."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
     if soft != resource.RLIM_INFINITY:
         have = min(have, soft)
+    return have
+
+
+def _check_table_fits(n: int) -> None:
+    """Raise CapExceededError when the predicted fill exceeds memory."""
+    need, have = _table_bytes(n), _available_bytes()
     if need > have:
         raise CapExceededError(
             f"n={n}: the subset DP table needs about {need / 2**20:,.0f} MB "
@@ -197,7 +244,11 @@ def _check_table_fits(n: int) -> None:
 
 def reachability_table(g: SignedGraph, cap: int = SUBSET_DP_CAP) -> ReachabilityTable:
     """Fill the subset DP table layer by layer (increasing popcount); raises
-    CapExceededError when n exceeds cap or the fill would not fit in memory."""
+    CapExceededError when n exceeds cap or the fill would not fit in memory.
+
+    The full 2^n table is the reference the frontier DP is tested against,
+    and the O*(2^n) fill that `bench` times.
+    """
     n = g.n
     if n > cap:
         raise CapExceededError(f"n={n} exceeds the subset DP cap {cap}")
@@ -210,7 +261,7 @@ def reachability_table(g: SignedGraph, cap: int = SUBSET_DP_CAP) -> Reachability
         return ReachabilityTable(0, reachable, chosen)
 
     bad = _bad_extension_masks(g)
-    _, by_count, bounds = _subset_universe(n)
+    by_count, bounds = _subset_universe(n)
     vbits = np.int64(1) << np.arange(n, dtype=np.int64)
     vindex = np.arange(n, dtype=np.int64)
 
@@ -227,22 +278,168 @@ def reachability_table(g: SignedGraph, cap: int = SUBSET_DP_CAP) -> Reachability
     return ReachabilityTable(n, reachable, chosen)
 
 
+# Peak bytes of one frontier step, an upper bound fitted to tracemalloc
+# peaks on negative paths (n = 16..64), sparse random graphs and the dp-20
+# benchmark instances: per frontier set (its free and bad masks), per set of
+# the next layer (the layer and its copy while _next_layer merges into it),
+# and per cell of the chunked matrices.  The next layer is bounded by the
+# frontier x (size - k) candidate extensions and by C(size, k + 1).
+_BYTES_PER_SET = 24
+_BYTES_PER_NEXT_SET = 40
+_BYTES_PER_CELL = 48
+_SET_BITS = 64  # a component's prefix sets are uint64 masks
+
+
+def _step_bytes(frontier: int, witnesses: int, size: int, k: int) -> int:
+    """Predicted peak bytes of extending `frontier` sets of k vertices in a
+    component of `size` vertices, `witnesses` of them witnesses."""
+    next_sets = min(frontier * (size - k), math.comb(size, k + 1))
+    bad_cells = min(frontier * witnesses, _CHUNK_CELLS)
+    candidate_cells = min(frontier * size, max(frontier, _CHUNK_CELLS))
+    return (
+        _BYTES_PER_SET * frontier
+        + _BYTES_PER_NEXT_SET * next_sets
+        + _BYTES_PER_CELL * (bad_cells + candidate_cells)
+    )
+
+
+def _next_layer(
+    sets: np.ndarray, free: np.ndarray, bits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted sets, last vertices) one vertex larger than the sorted
+    frontier `sets`: every set S | {v} with v in free[S], kept with the
+    smallest such v (bits[v] is v's bit).
+
+    Vertices are taken in increasing order, as many at a time as keep the
+    frontier x vertices candidates within _CHUNK_CELLS, and each group's new
+    sets are merged into the layer so far; a set already there came from a
+    smaller vertex and keeps it.  So a narrow frontier is extended in one
+    step, and a wide one never holds all its candidate extensions at once.
+    """
+    new = np.zeros(0, dtype=np.uint64)
+    last = np.zeros(0, dtype=np.uint8)
+    step = max(1, _CHUNK_CELLS // len(sets))
+    for low in range(0, len(bits), step):
+        group = bits[low : low + step]
+        # Listed vertex by vertex, so np.unique's first occurrence of each
+        # set is its smallest last vertex.
+        v, row = np.nonzero(((free[:, None] & group) != 0).T)
+        grown, first = np.unique(sets[row] | group[v], return_index=True)
+        at = np.searchsorted(new, grown)
+        fresh = new[np.minimum(at, len(new) - 1)] != grown if len(new) else slice(None)
+        new = np.insert(new, at[fresh], grown[fresh])
+        last = np.insert(last, at[fresh], v[first][fresh] + low)
+    return new, last
+
+
+def _components(n: int, adj: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Vertex lists of the graph's components, each sorted, ordered by their
+    smallest vertex."""
+    comp_of = [0] * (n + 1)
+    comps: list[list[int]] = []
+    for root in range(1, n + 1):
+        if comp_of[root]:
+            continue
+        comps.append([root])
+        comp_of[root] = len(comps)
+        for u in comps[-1]:  # grows while it is walked: a breadth-first search
+            for w in adj[u]:
+                if not comp_of[w]:
+                    comp_of[w] = len(comps)
+                    comps[-1].append(w)
+    return [sorted(c) for c in comps]
+
+
+def _frontier_layers(
+    pos: Sequence[int],
+    neg: Sequence[int],
+    kept: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
+    have: int,
+) -> Optional[list[tuple[np.ndarray, np.ndarray]]]:
+    """The reachable prefix sets of one component, layer by layer, or None
+    when its full set is unreachable.
+
+    pos and neg are the component's local neighbour masks (bit i for its
+    i-th vertex), and sets are uint64 masks in the same bits, so a component
+    of more than 64 vertices raises CapExceededError.  Layer k is (sets,
+    last): the sorted reachable sets of k vertices, and for each the
+    smallest local vertex that can be placed last.  Before each step
+    allocates, its predicted peak plus the bytes held by its own layers and
+    by `kept` (earlier components' layers) is checked against `have` bytes.
+    """
+    size = len(pos)
+    if size > _SET_BITS:
+        raise CapExceededError(
+            f"a {size}-vertex component exceeds the subset DP's "
+            f"{_SET_BITS}-vertex limit per component"
+        )
+    full = np.uint64((1 << size) - 1)
+    bits = np.uint64(1) << np.arange(size, dtype=np.uint64)
+    witnesses = _witnesses(pos, neg)
+    sets = np.zeros(1, dtype=np.uint64)
+    layers = [(sets, np.zeros(1, dtype=np.uint8))]
+    held = sum(a.nbytes for table in kept for layer in table for a in layer)
+    for k in range(size):
+        held += sum(a.nbytes for a in layers[-1])
+        need = held + _step_bytes(len(sets), len(witnesses[0]), size, k)
+        if need > have:
+            raise CapExceededError(
+                f"a {size}-vertex component: subset DP layer {k + 1} needs about "
+                f"{need / 2**20:,.0f} MB of memory, more than the "
+                f"{have / 2**20:,.0f} MB available"
+            )
+        free = full & ~sets & ~_frontier_bad_masks(sets, *witnesses)
+        sets, last = _next_layer(sets, free, bits)
+        if len(sets) == 0:
+            return None
+        layers.append((sets, last))
+    return layers
+
+
 def solve_subset_dp(g: SignedGraph, cap: int = SUBSET_DP_CAP) -> Optional[Ordering]:
     """Feasible ordering via the subset DP, or None.
 
-    The ordering is reconstructed backwards through chosen[], so at every
-    step the smallest eligible vertex is placed last.  The result is not
-    re-verified here; callers that print it check it first.
+    Whether v is good for a prefix X depends only on X's part in v's
+    component of G+ union G-, so X is reachable exactly when each of its
+    parts is reachable within its component.  Each component's reachable
+    sets are expanded layer by layer from the empty set (a frontier DP), so
+    the work follows the reachable sets rather than all 2^n.
+
+    The ordering is rebuilt backwards: at every step the smallest vertex
+    that any component can place last goes last, which is the full table's
+    "smallest eligible vertex last" rule, so the ordering is the one
+    reachability_table gives.  The result is not re-verified here; callers
+    that print it check it first.
     """
-    table = reachability_table(g, cap)
     n = g.n
-    full = (1 << n) - 1
-    if not table.reachable[full]:
-        return None
+    if n > cap:
+        raise CapExceededError(f"n={n} exceeds the subset DP cap {cap}")
+    pos_adj, neg_adj = Graph(n, g.pos).adj, Graph(n, g.neg).adj
+    comps = _components(n, Graph(n, g.pos | g.neg).adj)
+    tables: list[list[tuple[np.ndarray, np.ndarray]]] = []
+    have = _available_bytes()
+    for verts in comps:
+        layers = _frontier_layers(
+            _local_masks(verts, pos_adj), _local_masks(verts, neg_adj), tables, have
+        )
+        if layers is None:
+            return None
+        tables.append(layers)
+
+    masks = [(1 << len(verts)) - 1 for verts in comps]
+
+    def last_of(c: int) -> int:
+        """The vertex component c places last in its current prefix set."""
+        sets, last = tables[c][masks[c].bit_count()]
+        return comps[c][last[np.searchsorted(sets, np.uint64(masks[c]))]]
+
+    placeable = {c: last_of(c) for c in range(len(comps))}
     seq_rev: list[int] = []
-    mask = full
-    while mask:
-        v = int(table.chosen[mask])
+    while placeable:
+        c = min(placeable, key=placeable.__getitem__)
+        v = placeable.pop(c)
         seq_rev.append(v)
-        mask ^= 1 << (v - 1)
+        masks[c] ^= 1 << comps[c].index(v)
+        if masks[c]:
+            placeable[c] = last_of(c)
     return Ordering.from_seq(reversed(seq_rev))

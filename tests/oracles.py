@@ -10,12 +10,11 @@ import itertools
 from fractions import Fraction
 from typing import Optional
 
-from lineembed.core import build_signed_graph
+from lineembed.core import Ordering, build_signed_graph
 from lineembed.errors import (
     CapExceededError,
     GraphError,
     LineEmbedError,
-    MembershipError,
     ParseError,
 )
 from lineembed.reductions import (
@@ -338,6 +337,22 @@ def solve_adp_bruteforce(
 # --- Per-entry views of the package's solver and verifier results ---------
 
 
+class MembershipError(LineEmbedError, ValueError):
+    """A vertex was (or was not) in a set contrary to a precondition."""
+
+
+def reversed_ordering(ordering):
+    """The ordering read from right to left."""
+    return Ordering(tuple(reversed(ordering.seq)))
+
+
+def literal_of(element):
+    """The literal that sat_to_setsplitting encodes as `element`: the inverse
+    of SatToSsMapping.element_of."""
+    var = (element + 1) // 2
+    return var if element % 2 else -var
+
+
 def is_good(g, v, chosen):
     """Can v be placed directly after the prefix set `chosen`?  Straight from
     the prefix characterization: (a) no placed negative neighbour of v keeps
@@ -374,6 +389,20 @@ def is_reachable(table, mask):
 def chosen_vertex(table, mask):
     """The vertex the DP table places last for `mask` (0 where unreachable)."""
     return int(table.chosen[mask])
+
+
+def table_ordering(table):
+    """The full DP table's ordering, rebuilt backwards from the full set with
+    the chosen (smallest eligible) vertex last each time; None when the full
+    set is unreachable."""
+    mask = (1 << table.n) - 1
+    if not is_reachable(table, mask):
+        return None
+    seq = []
+    while mask:
+        seq.append(chosen_vertex(table, mask))
+        mask ^= 1 << (seq[-1] - 1)
+    return tuple(reversed(seq))
 
 
 def verify_setsplitting(sys, x):

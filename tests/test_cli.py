@@ -13,6 +13,7 @@ import pytest
 
 import lineembed.core
 import lineembed.reductions
+import lineembed.solvers
 from lineembed.cli import main
 from lineembed.formats import (
     parse_cnf,
@@ -64,6 +65,12 @@ def write(tmp_path, name: str, text: str) -> str:
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def negative_path_text(n: int) -> str:
+    """A path of negative edges on 1..n: connected, and every prefix set is
+    reachable, so the subset DP's frontier grows as C(n, k)."""
+    return f"p sg {n} 0 {n - 1}\n" + "".join(f"e - {v} {v + 1}\n" for v in range(1, n))
 
 
 class TestSolve:
@@ -127,22 +134,54 @@ class TestSolve:
         )
         assert rc == 0
 
-    def test_dp_table_beyond_memory(self, tmp_path, capsys) -> None:
-        # Under the 64-vertex cap, but the 2^58-entry table cannot be
-        # allocated; the failure must surface as a clean resource error.
-        inst = write(tmp_path, "huge.sg", "p sg 58 0 0\n")
-        rc, _, err = run(capsys, "solve", inst, "--algo", "dp")
-        assert rc == 4 and "memory" in err
+    def test_dp_table_beyond_memory(self, tmp_path, capsys, monkeypatch) -> None:
+        # Under the 64-vertex cap, but with 16 MB available the path's fourth
+        # layer cannot fit; the refusal is the layer prediction's, not a
+        # MemoryError, and surfaces as a clean resource error.
+        monkeypatch.setattr(lineembed.solvers, "_available_bytes", lambda: 16 * 2**20)
+        inst = write(tmp_path, "path.sg", negative_path_text(58))
+        rc, out, err = run(capsys, "solve", inst, "--algo", "dp")
+        assert rc == 4 and out == ""
+        assert "layer 4" in err and "memory" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("algo", ["auto", "dp"])
     @pytest.mark.parametrize("n", [63, 64])
     def test_dp_table_size_refused_in_a_fresh_process(self, tmp_path, n, algo) -> None:
-        # At 63 and 64 vertices numpy cannot even index the table; the size
-        # rule must still give exit 4 and a one-line error, no traceback.
-        inst = write(tmp_path, "huge.sg", f"p sg {n} 0 0\n")
-        proc = run_python([], "-m", "lineembed.cli", "solve", "--algo", algo, inst)
+        # Under AS_LIMIT the path's fifth layer, C(n, 4) sets, is predicted
+        # not to fit: exit 4 and a one-line error, no traceback.
+        inst = write(tmp_path, "path.sg", negative_path_text(n))
+        proc = run_under_limit(AS_LIMIT, "solve", "--algo", algo, inst)
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert "layer 5" in proc.stderr and "memory" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_component_beyond_64_vertices_refused(self, tmp_path) -> None:
+        # --cap 70 admits n = 65, but a 65-vertex component does not fit the
+        # frontier's uint64 sets: exit 4 and a one-line error, no traceback.
+        inst = write(tmp_path, "path.sg", negative_path_text(65))
+        proc = run_under_limit(AS_LIMIT, "solve", "--cap", "70", inst)
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert "65-vertex component" in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    def test_sparse_frontier_refused_in_a_fresh_process(self, tmp_path) -> None:
+        # A 39-vertex sparse component whose reachable sets explode: without
+        # the per-layer prediction this is killed by the kernel.
+        rc = main(["gen", "random-sg", "--n", "40", "--p-pos", "0.05",
+                   "--p-neg", "0.05", "--seed", "40", "--out", str(tmp_path / "r.sg")])
+        assert rc == 0
+        proc = run_under_limit(AS_LIMIT, "solve", str(tmp_path / "r.sg"))
         assert proc.returncode == 4 and proc.stdout == ""
         assert "memory" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_many_components_solve(self, tmp_path, capsys) -> None:
+        # 60 isolated vertices: 60 one-vertex frontiers, not a 2^60 table.
+        inst = write(tmp_path, "edgeless.sg", "p sg 60 0 0\n")
+        rc, out, _ = run(capsys, "solve", inst)
+        assert rc == 0 and out == "o " + " ".join(map(str, range(60, 0, -1))) + "\n"
+        cert = write(tmp_path, "edgeless.ord", out)
+        rc, out, _ = run(capsys, "verify", inst, cert)
+        assert rc == 0 and out == "VALID\n"
 
     def test_missing_file(self, capsys) -> None:
         rc, _, err = run(capsys, "solve", "/nonexistent/file.sg")
@@ -481,6 +520,31 @@ def run_python(flags: list[str], *args: str):
 
 def run_with_fault(flags: list[str], fault: str, *argv: str):
     return run_python(flags, "-c", FAULT_DRIVER, fault, *argv)
+
+
+# Runs the CLI under an address-space soft limit: argv[1] is the limit in
+# bytes, the rest is the command line.
+AS_LIMITED_CLI = """
+import resource
+import sys
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+limit = int(sys.argv[1])
+if hard != resource.RLIM_INFINITY:
+    limit = min(limit, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+import lineembed.cli as cli
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+# The address-space limit of the refusal tests: room for the interpreter
+# and numpy (about 140 MB) and a few small layers, not for the fifth layer of
+# a 63- or 64-vertex negative path (predicted at 314 and 355 MB).
+AS_LIMIT = 256 * 2**20
+
+
+def run_under_limit(limit: int, *argv: str):
+    return run_python([], "-c", AS_LIMITED_CLI, str(limit), *argv)
 
 
 def count_calls(monkeypatch, owner, attr: str) -> list[int]:

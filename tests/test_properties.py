@@ -1,7 +1,8 @@
 """Property tests: the verifier against the cubic oracle, the signed-graph
 text format round trip, the signed-graph parser against the per-line
-reference parser, the array constructor against build_signed_graph, and
-the mapping text format of every reduction stage and of the chain.
+reference parser, the array constructor against build_signed_graph, the
+frontier subset DP against the full table, and the mapping text format of
+every reduction stage and of the chain.
 
 Examples are derandomized and nothing is stored between runs, so every run
 checks the same graphs.
@@ -38,8 +39,9 @@ from lineembed.reductions import (
     sat_to_setsplitting,
     setsplitting_to_adp,
 )
+from lineembed.solvers import reachability_table, solve_subset_dp
 
-from oracles import parse_signed_graph_by_lines
+from oracles import parse_signed_graph_by_lines, table_ordering
 from test_core import assert_matches_naive
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
@@ -73,6 +75,30 @@ def graphs_with_orderings(draw):
 def test_verifier_matches_naive_oracle(case) -> None:
     g, seq = case
     assert_matches_naive(verify_embedding(g, Ordering.from_seq(seq)), g, seq)
+
+
+@st.composite
+def disjoint_unions(draw):
+    """Two drawn signed graphs side by side, their labels mixed by a drawn
+    permutation, so that the components interleave in vertex order."""
+    a, b = draw(signed_graphs(max_n=4)), draw(signed_graphs(max_n=3))
+    label = draw(st.permutations(range(1, a.n + b.n + 1)))
+
+    def relabel(edges, shift):
+        return [(label[u + shift - 1], label[v + shift - 1]) for u, v in edges]
+
+    return build_signed_graph(
+        a.n + b.n,
+        relabel(a.pos, 0) + relabel(b.pos, a.n),
+        relabel(a.neg, 0) + relabel(b.neg, a.n),
+    )
+
+
+@settings(DETERMINISTIC, max_examples=600)
+@given(st.one_of(signed_graphs(max_n=7), disjoint_unions()))
+def test_frontier_dp_matches_full_table(g) -> None:
+    got = solve_subset_dp(g)
+    assert (None if got is None else got.seq) == table_ordering(reachability_table(g))
 
 
 @settings(DETERMINISTIC, max_examples=300)

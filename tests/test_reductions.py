@@ -34,6 +34,7 @@ from lineembed.reductions import (
 from lineembed.solvers import solve_subset_dp
 
 from oracles import (
+    literal_of,
     partition_exists_brute,
     partition_ok,
     sat_assignments,
@@ -218,8 +219,8 @@ class TestSatToSetsplitting:
         )
         assert mapping.element_of(2) == 3
         assert mapping.element_of(-2) == 4
-        assert mapping.literal_of(3) == 2
-        assert mapping.literal_of(4) == -2
+        assert literal_of(3) == 2
+        assert literal_of(4) == -2
 
     def test_sizes_random(self) -> None:
         rng = random.Random(73)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -11,23 +12,50 @@ import pytest
 
 from lineembed import solvers
 
-from lineembed.core import Ordering, build_signed_graph, verify_embedding
-from lineembed.errors import CapExceededError, GraphError, MembershipError
+from lineembed.core import Graph, Ordering, build_signed_graph, verify_embedding
+from lineembed.errors import CapExceededError, GraphError
 from lineembed.solvers import (
     reachability_table,
     solve_bruteforce,
     solve_subset_dp,
 )
-from lineembed.solvers import _bad_extension_masks, _table_bytes
+from lineembed.generators import gen_planted_complete, gen_random_signed_graph
+from lineembed.solvers import (
+    _bad_extension_masks,
+    _frontier_bad_masks,
+    _local_masks,
+    _step_bytes,
+    _table_bytes,
+    _witnesses,
+)
 
 from oracles import (
+    MembershipError,
     chosen_vertex,
     feasible_orderings_brute,
     is_good,
     is_reachable,
     naive_feasible,
+    table_ordering,
 )
 from test_core import all_sign_patterns, random_signed_graph
+
+
+def frontier_masks(g):
+    """The frontier's bad-extension masks of every subset of g's vertices."""
+    verts = range(1, g.n + 1)
+    witnesses = _witnesses(
+        _local_masks(verts, Graph(g.n, g.pos).adj),
+        _local_masks(verts, Graph(g.n, g.neg).adj),
+    )
+    return _frontier_bad_masks(np.arange(1 << g.n, dtype=np.uint64), *witnesses)
+
+
+def negative_path(n):
+    """A path of negative edges on 1..n: connected, no witnesses, and every
+    prefix set reachable."""
+    return build_signed_graph(n, [], [(v, v + 1) for v in range(1, n)])
+
 
 P3 = build_signed_graph(3, [(1, 2), (2, 3)], [(1, 3)])
 
@@ -81,6 +109,14 @@ class TestIsGood:
                             continue
                         table_good = not (int(bad[mask]) >> (v - 1)) & 1
                         assert table_good == is_good(g, v, members)
+
+    def test_frontier_masks_match_table_masks(self) -> None:
+        # Only the bits of vertices outside the set carry meaning.
+        for n in range(1, 5):
+            for g in all_sign_patterns(n):
+                outside = ~np.arange(1 << n, dtype=np.int64) & ((1 << n) - 1)
+                table = _bad_extension_masks(g) & outside
+                assert ((frontier_masks(g).astype(np.int64) & outside) == table).all()
 
 
 class TestBruteforce:
@@ -201,7 +237,6 @@ class TestTableSize:
     @pytest.mark.parametrize("n", [12, 16])
     def test_estimate_covers_measured_peak(self, n) -> None:
         g = random_signed_graph(random.Random(n), n, 0.4, 0.4)
-        solvers._subset_universe.cache_clear()
         tracemalloc.start()
         try:
             reachability_table(g)
@@ -211,11 +246,110 @@ class TestTableSize:
         assert 0 < peak <= _table_bytes(n)
 
 
-    def test_one_universe_outlives_the_solves(self) -> None:
-        solvers._subset_universe.cache_clear()
-        for n in (16, 17):
-            solve_subset_dp(build_signed_graph(n, [], []))
-        assert solvers._subset_universe.cache_info().currsize == 1
+    @pytest.mark.parametrize(
+        "g",
+        [gen_random_signed_graph(20, 0.25, 0.25, seed=20),
+         gen_random_signed_graph(20, 0.05, 0.05, seed=20),
+         gen_random_signed_graph(30, 0.25, 0.25, seed=30),
+         build_signed_graph(60, [], [])],
+        ids=["dense-20", "sparse-20", "random-30", "edgeless-60"],
+    )
+    def test_solve_builds_no_universe(self, g, monkeypatch) -> None:
+        def no_universe(*args, **kwargs):
+            raise AssertionError("solve_subset_dp built a 2^n universe")
+
+        monkeypatch.setattr(solvers, "_subset_universe", no_universe)
+        got = solve_subset_dp(g)
+        assert got is None or verify_embedding(g, got).valid
+
+    def test_frontier_layer_refused_before_allocation(self, monkeypatch) -> None:
+        # Every prefix set of a negative path is reachable, so its frontier
+        # grows as C(58, k); with 16 MB available the fourth layer is refused
+        # before it is built.
+        limit = 16 * 2**20
+        monkeypatch.setattr(solvers, "_available_bytes", lambda: limit)
+        g = negative_path(58)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="layer 4 .*memory"):
+                solve_subset_dp(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
+
+    @pytest.mark.parametrize(
+        "g",
+        [negative_path(16),
+         gen_random_signed_graph(20, 0.05, 0.05, seed=20),
+         gen_random_signed_graph(24, 0.15, 0.15, seed=24)],
+        ids=["path-16", "sparse-20", "witnesses-24"],
+    )
+    def test_frontier_estimate_covers_measured_peak(self, g, monkeypatch) -> None:
+        tracemalloc.start()
+        try:
+            solve_subset_dp(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Some layer's prediction reaches the measured peak, so with one
+        # byte less available the solve is refused.
+        monkeypatch.setattr(solvers, "_available_bytes", lambda: peak - 1)
+        with pytest.raises(CapExceededError, match="memory"):
+            solve_subset_dp(g)
+
+    def test_path_prediction_within_full_table(self, monkeypatch) -> None:
+        # A negative path has no witnesses and reaches every prefix set, the
+        # frontier's worst case; no layer may predict more than the full
+        # table did, so no input the table solved is refused.
+        for n in range(1, 26):
+            held = 0
+            for k in range(n):
+                held += 9 * math.comb(n, k)  # a uint64 set and a uint8 vertex
+                assert held + _step_bytes(math.comb(n, k), 0, n, k) <= _table_bytes(n)
+        for n in (12, 16, 18):
+            monkeypatch.setattr(solvers, "_available_bytes", lambda n=n: _table_bytes(n))
+            assert solve_subset_dp(negative_path(n)) is not None
+
+
+class TestFrontier:
+    """solve_subset_dp (the per-component frontier) against the full table."""
+
+    @staticmethod
+    def assert_matches_table(g) -> None:
+        got = solve_subset_dp(g)
+        want = table_ordering(reachability_table(g))
+        assert (None if got is None else got.seq) == want
+
+    def test_exhaustive_small(self) -> None:
+        for n in range(5):
+            for g in all_sign_patterns(n):
+                self.assert_matches_table(g)
+
+    def test_random_up_to_18(self) -> None:
+        # Sparse draws split into several components and isolated vertices,
+        # dense ones are mostly connected and infeasible.
+        rng = random.Random(18)
+        for _ in range(300):
+            n = rng.randint(5, 11)
+            p = rng.choice([0.03, 0.08, 0.15, 0.3])
+            self.assert_matches_table(random_signed_graph(rng, n, p, p))
+        for n in (14, 16, 18):
+            for p in (0.05, 0.1, 0.25):
+                self.assert_matches_table(gen_random_signed_graph(n, p, p, seed=n))
+
+    def test_components_interleave(self) -> None:
+        # Two P3s on alternating labels: each step must place the smaller of
+        # the two components' last vertices.
+        g = build_signed_graph(6, [(1, 3), (3, 5), (2, 4), (4, 6)], [(1, 5), (2, 6)])
+        assert solve_subset_dp(g).seq == (6, 5, 4, 3, 2, 1)
+        self.assert_matches_table(g)
+
+    def test_64_vertex_component(self) -> None:
+        # One connected component using every bit of a uint64 set.
+        g = gen_planted_complete(64, seed=64)
+        got = solve_subset_dp(g)
+        assert got is not None and verify_embedding(g, got).valid
 
 
 class TestReachabilityTable:
