@@ -55,6 +55,7 @@ from .generators import (
 from .intervals import model_intersection_graph, ordering_to_model, solve_complete
 from .reductions import (
     adp_violation,
+    falsified_clause,
     lift_adp_to_setsplitting,
     lift_lce_to_adp,
     lift_lce_to_sat,
@@ -161,10 +162,8 @@ def _check_assignment(cnf, assignment, source) -> Optional[str]:
             f"instance has {cnf.num_vars}",
             source,
         )
-    for idx, clause in enumerate(cnf.clauses, start=1):
-        if not any((lit > 0) == assignment.value(abs(lit)) for lit in clause):
-            return f"clause {idx} is falsified"
-    return None
+    idx = falsified_clause(cnf, assignment)
+    return None if idx is None else f"clause {idx} is falsified"
 
 
 class _CertKind(NamedTuple):

@@ -162,7 +162,7 @@ def _pair_array(pairs: Sequence[tuple[int, int]]) -> np.ndarray:
     """Pairs as an (m, 2) int64 array, or as an object array when a number
     does not fit an int64, so that _build_from_arrays keeps it exact."""
     try:
-        return np.array(pairs, np.int64).reshape(-1, 2)
+        return np.fromiter(chain.from_iterable(pairs), np.int64).reshape(-1, 2)
     except OverflowError:
         return np.array(pairs, object).reshape(-1, 2)
 

@@ -11,7 +11,9 @@ the source instance it carries, so its numbering lives in `reductions` alone.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
@@ -72,6 +74,18 @@ def _int(token: str, source: Optional[str], line: int) -> int:
         raise ParseError(f"expected an integer, got {token!r}", source, line)
 
 
+@contextmanager
+def _as_parse_error(source: Optional[str], line: Optional[int]) -> Iterator[None]:
+    """Re-raise a LineEmbedError from the block, other than a ParseError, as
+    a ParseError at source:line."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except LineEmbedError as exc:
+        raise ParseError(str(exc), source, line) from exc
+
+
 def _header(
     lines: Iterator[tuple[int, list[str]]],
     kind: str,
@@ -112,10 +126,19 @@ def instance_kind(text: str, source: Optional[str] = None) -> str:
 
 
 def serialize_signed_graph(g: SignedGraph) -> str:
-    out = [f"p sg {g.n} {g.m_pos} {g.m_neg}"]
-    out.extend(f"e + {u} {v}" for u, v in sorted(g.pos))
-    out.extend(f"e - {u} {v}" for u, v in sorted(g.neg))
-    return "\n".join(out) + "\n"
+    """The header, then the `e +` and the `e -` lines, each sign's (u, v),
+    u < v, ascending, whatever form the graph holds: edge sets sort as
+    tuples, edge arrays by one lexsort, without building the sets.  Each
+    sign's lines are formatted in one operation."""
+    out = [f"p sg {g.n} {g.m_pos} {g.m_neg}\n"]
+    for sign, name in (("+", "pos"), ("-", "neg")):
+        if name in vars(g):
+            flat = tuple(chain.from_iterable(sorted(vars(g)[name])))
+        else:
+            edges = vars(g)[name + "_array"]
+            flat = tuple(edges[np.lexsort((edges[:, 1], edges[:, 0]))].ravel().tolist())
+        out.append((f"e {sign} %d %d\n" * (len(flat) // 2)) % flat)
+    return "".join(out)
 
 
 # Longest digit run the canonical edge spelling allows: below 10**18 every
@@ -219,10 +242,8 @@ def parse_signed_graph(text: str, source: Optional[str] = None) -> SignedGraph:
             source,
             hdr_no,
         )
-    try:
+    with _as_parse_error(source, hdr_no):
         return _build_from_arrays(n, pos, neg)
-    except LineEmbedError as exc:
-        raise ParseError(str(exc), source, hdr_no) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +274,8 @@ def parse_cnf(text: str, source: Optional[str] = None) -> CnfFormula:
             source,
             hdr_no,
         )
-    try:
+    with _as_parse_error(source, hdr_no):
         return build_cnf(num_vars, clauses)
-    except LineEmbedError as exc:
-        raise ParseError(str(exc), source, hdr_no) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +324,8 @@ def parse_set_system(text: str, source: Optional[str] = None) -> SetSystem:
         raise ParseError(
             f"header declares {num_sets} sets, found {len(sets)}", source, hdr_no
         )
-    try:
+    with _as_parse_error(source, hdr_no):
         return build_set_system(universe, sets, special=special)
-    except LineEmbedError as exc:
-        raise ParseError(str(exc), source, hdr_no) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +351,8 @@ def parse_digraph(text: str, source: Optional[str] = None) -> Digraph:
         raise ParseError(
             f"header declares {m} arcs, found {len(arcs)}", source, hdr_no
         )
-    try:
+    with _as_parse_error(source, hdr_no):
         return build_digraph(n, arcs)
-    except LineEmbedError as exc:
-        raise ParseError(str(exc), source, hdr_no) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +382,12 @@ def parse_ordering_cert(
     no, tokens = _single_line(text, "o", source)
     if tokens == ["INFEASIBLE"]:
         return None
-    seq = [_int(t, source, no) for t in tokens]
     try:
+        seq = list(map(int, tokens))
+    except ValueError:  # _int names the first token that is not a number
+        seq = [_int(t, source, no) for t in tokens]
+    with _as_parse_error(source, no):
         return Ordering.from_seq(seq)
-    except LineEmbedError as exc:
-        raise ParseError(str(exc), source, no) from exc
 
 
 def _fraction(token: str, source: Optional[str], line: int) -> Fraction:
@@ -407,10 +423,8 @@ def parse_model_cert(text: str, source: Optional[str] = None) -> IntervalModel:
             _fraction(tokens[3], source, no),
         )
     model = IntervalModel(intervals)
-    try:
+    with _as_parse_error(source, None):
         model.validate()
-    except LineEmbedError as exc:
-        raise ParseError(str(exc), source, None) from exc
     return model
 
 
@@ -617,8 +631,20 @@ def read_mapping(
     (stage, source instance, reduced instance, mapping).
 
     The first section's source (for the chain, the sat2ss formula) is reduced
-    again; the content lines, spacing normalized, must be the serialization
-    of the result, and the first line that differs is the error."""
+    again.  A text byte for byte its serialization is read only up to the
+    second header; in any other, the content lines, spacing normalized, must
+    be the serialization, and the first line that differs is the error."""
+    section, _, rest = text.partition("\np ")
+    head, _, written = section.partition("\n")
+    first = head[6:]
+    stage = "sat2lce" if first == "sat2ss" and rest.startswith("map ss2adp\n") else first
+    try:
+        instance = _SOURCES[first](list(enumerate(written.splitlines(), start=2)), source)
+        reduced, mapping = stage_reductions()[stage](instance)
+        if serialize_mapping(mapping) == text:
+            return stage, instance, reduced, mapping
+    except (KeyError, LineEmbedError):
+        pass
     # Strings, not token lists, which the garbage collector would scan.
     lines = [(no, " ".join(tokens)) for no, tokens in _content_lines(text)]
     heads = [i for i, (_, line) in enumerate(lines) if line == "p" or line[:2] == "p "]
@@ -638,13 +664,9 @@ def read_mapping(
         raise ParseError(why, source, sections[-1][1] if sections else None)
     first, hdr_no, body = sections[0]
     stage = first if len(stages) == 1 else "sat2lce"
-    try:
+    with _as_parse_error(source, hdr_no):
         instance = _SOURCES[first](body, source)
         reduced, mapping = stage_reductions()[stage](instance)
-    except ParseError:
-        raise
-    except LineEmbedError as exc:
-        raise ParseError(str(exc), source, hdr_no) from exc
     # None stands for the end of the mapping, so a short or long file differs.
     want = serialize_mapping(mapping).split("\n")[:-1] + [None]
     got = [line for _, line in lines] + [None]

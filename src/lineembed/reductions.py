@@ -69,16 +69,21 @@ class Assignment:
         return self.values[var - 1]
 
 
-def eval_cnf(cnf: CnfFormula, assignment: Assignment) -> bool:
+def falsified_clause(cnf: CnfFormula, assignment: Assignment) -> Optional[int]:
+    """1-based index of the first clause the assignment falsifies, or None."""
     if len(assignment.values) != cnf.num_vars:
         raise ReductionError(
             f"assignment covers {len(assignment.values)} variables, "
             f"formula has {cnf.num_vars}"
         )
-    return all(
-        any((lit > 0) == assignment.value(abs(lit)) for lit in clause)
-        for clause in cnf.clauses
-    )
+    for idx, clause in enumerate(cnf.clauses, start=1):
+        if not any((lit > 0) == assignment.value(abs(lit)) for lit in clause):
+            return idx
+    return None
+
+
+def eval_cnf(cnf: CnfFormula, assignment: Assignment) -> bool:
+    return falsified_clause(cnf, assignment) is None
 
 
 @dataclass(frozen=True)
@@ -135,18 +140,25 @@ class Digraph:
 
 
 def build_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
+    """Range and repeated arcs are tested in one numpy pass over the sorted
+    keys a*(n+1)+b, as in core._build_from_arrays; the arcs are walked in
+    order only to name the first offender when that pass fails."""
     if n < 0:
         raise ReductionError(f"vertex count {n} is negative")
+    out = tuple(arcs)
+    pairs = _pair_array(out)
+    if n < 2**31 and pairs.dtype == np.int64 and ((pairs >= 1) & (pairs <= n)).all():
+        keys = np.sort(pairs[:, 0] * (n + 1) + pairs[:, 1])
+        if not (keys[1:] == keys[:-1]).any():
+            return Digraph(n, out)
     seen = set()
-    out = []
-    for a, b in arcs:
+    for a, b in out:
         if not (1 <= a <= n and 1 <= b <= n):
             raise ReductionError(f"arc ({a}, {b}) out of range 1..{n}")
         if (a, b) in seen:
             raise ReductionError(f"duplicate arc ({a}, {b})")
         seen.add((a, b))
-        out.append((a, b))
-    return Digraph(n, tuple(out))
+    return Digraph(n, out)
 
 
 @dataclass(frozen=True)

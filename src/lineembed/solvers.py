@@ -224,8 +224,14 @@ def _table_bytes(n: int) -> int:
 
 
 def _available_bytes() -> int:
-    """The smaller of physical memory and the address-space soft limit."""
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    """The smaller of MemAvailable (physical memory where /proc/meminfo
+    cannot be read) and the address-space soft limit."""
+    try:
+        with open("/proc/meminfo") as info:
+            fields = dict(line.split(":", 1) for line in info)
+        have = int(fields["MemAvailable"].split()[0]) * 1024
+    except (OSError, KeyError, ValueError):
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
     if soft != resource.RLIM_INFINITY:
         have = min(have, soft)

@@ -16,13 +16,16 @@ from lineembed.errors import (
     GraphError,
     LineEmbedError,
     ParseError,
+    ReductionError,
 )
+from lineembed.formats import _SOURCES, serialize_mapping
 from lineembed.reductions import (
     Digraph,
     Partition,
     SetSystem,
     SplitterSolution,
     adp_violation,
+    stage_reductions,
     unsplit_set_index,
 )
 
@@ -249,6 +252,62 @@ def parse_signed_graph_by_lines(text, source=None):
         return build_signed_graph(n, pos, neg)
     except LineEmbedError as exc:
         raise ParseError(str(exc), source, hdr_no) from exc
+
+
+def build_digraph_by_arcs(n, arcs):
+    """The digraph constructor that tests each arc in turn, kept as the
+    reference for the package's numpy pass."""
+    if n < 0:
+        raise ReductionError(f"vertex count {n} is negative")
+    seen = set()
+    for a, b in arcs:
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise ReductionError(f"arc ({a}, {b}) out of range 1..{n}")
+        if (a, b) in seen:
+            raise ReductionError(f"duplicate arc ({a}, {b})")
+        seen.add((a, b))
+    return Digraph(n, tuple(arcs))
+
+
+def read_mapping_by_lines(text, source=None):
+    """The mapping reader that compares every content line, spacing
+    normalized, with what `reduce --map` writes for the first section's
+    source, kept as the reference for the package's byte-equal shortcut.
+    Its section readers are the package's own."""
+    lines = [(no, " ".join(tokens)) for no, tokens in _content_lines(text)]
+    heads = [i for i, (_, line) in enumerate(lines) if line == "p" or line[:2] == "p "]
+    if lines and heads[:1] != [0]:
+        raise ParseError("content before the first 'p map' header", source, lines[0][0])
+    sections = []
+    for i, end in zip(heads, heads[1:] + [len(lines)]):
+        no, tokens = lines[i][0], lines[i][1].split(" ")
+        if len(tokens) != 3 or tokens[1] != "map":
+            raise ParseError("expected 'p map <stage>' header", source, no)
+        if tokens[2] not in _SOURCES:
+            raise ParseError(f"unknown mapping stage {tokens[2]!r}", source, no)
+        sections.append((tokens[2], no, lines[i + 1 : end]))
+    stages = [stage for stage, _, _ in sections]
+    if len(stages) != 1 and stages != ["sat2ss", "ss2adp", "adp2lce"]:
+        why = "mapping file must hold one stage or the full sat2ss, ss2adp, adp2lce chain"
+        raise ParseError(why, source, sections[-1][1] if sections else None)
+    first, hdr_no, body = sections[0]
+    stage = first if len(stages) == 1 else "sat2lce"
+    try:
+        instance = _SOURCES[first](body, source)
+        reduced, mapping = stage_reductions()[stage](instance)
+    except ParseError:
+        raise
+    except LineEmbedError as exc:
+        raise ParseError(str(exc), source, hdr_no) from exc
+    # None stands for the end of the mapping, so a short or long file differs.
+    want = serialize_mapping(mapping).split("\n")[:-1] + [None]
+    got = [line for _, line in lines] + [None]
+    if got != want:
+        i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+        said = [repr(x) if x else "the end of the mapping" for x in (want[i], got[i])]
+        no = lines[min(i, len(lines) - 1)][0]
+        raise ParseError("expected {}, got {}".format(*said), source, no)
+    return stage, instance, reduced, mapping
 
 
 # Brute-force solvers for the reduction chain's problems, at desk scale.

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import lineembed.core
+import lineembed.formats
 import lineembed.reductions
 import lineembed.solvers
 from lineembed.cli import main
@@ -53,6 +54,8 @@ STAGE_CASES = {
 # Instances on which the identity ordering 1 2 3 is infeasible.
 SPARSE_TEXT = "p sg 3 1 1\ne + 1 3\ne - 2 3\n"
 COMPLETE_TEXT = "p sg 3 1 2\ne + 1 3\ne - 1 2\ne - 2 3\n"
+# Outputs recorded from the program, compared byte for byte.
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -313,6 +316,16 @@ class TestReduce:
         assert out.startswith("p sg 48 60 47\n")
         parse_signed_graph(out)
 
+    def test_sat2lce_frozen(self, tmp_path, capsys) -> None:
+        """The full gadget and mapping that `reduce sat2lce` writes for
+        XYZ_TEXT, byte for byte, as recorded in tests/golden."""
+        inst = write(tmp_path, "f.cnf", XYZ_TEXT)
+        gadget, mapping = tmp_path / "f.sg", tmp_path / "f.map"
+        argv = ["reduce", "sat2lce", inst, "--out", str(gadget), "--map", str(mapping)]
+        assert run(capsys, *argv) == (0, "", "")
+        assert gadget.read_bytes() == (GOLDEN / "xyz.sat2lce.sg").read_bytes()
+        assert mapping.read_bytes() == (GOLDEN / "xyz.sat2lce.map").read_bytes()
+
     def test_self_loop_is_usage_error(self, tmp_path, capsys) -> None:
         inst = write(tmp_path, "loop.dg", "p dg 1 1\na 1 1\n")
         rc, _, err = run(capsys, "reduce", "adp2lce", inst)
@@ -406,6 +419,34 @@ class TestLift:
         calls = count_calls(monkeypatch, lineembed.reductions, "adp_to_lce")
         assert run(capsys, "lift", mapping, cert) == (0, "v 1 0\n", "")
         assert len(calls) == 1
+
+    def test_canonical_chain_reads_only_its_first_section(
+        self, tmp_path, capsys, monkeypatch
+    ) -> None:
+        """Lifting through a mapping that is exactly what `reduce --map`
+        wrote tokenizes no line past its sat2ss section.  Fails if every
+        line of the mapping is read."""
+        inst = write(tmp_path, "f.cnf", XYZ_TEXT)
+        mapping = tmp_path / "f.map"
+        assert run(capsys, "reduce", "sat2lce", inst, "--map", str(mapping))[0] == 0
+        _, chain = sat_to_lce(parse_cnf(XYZ_TEXT))
+        x = sat_solution_to_setsplitting(Assignment((True, True, True)), chain.sat2ss)
+        part = setsplitting_solution_to_adp(x, chain.ss2adp)
+        ordering = adp_solution_to_lce_ordering(part, chain.adp2lce)
+        cert = write(tmp_path, "x.cert", serialize_ordering_cert(ordering))
+        tokenized: list[str] = []
+        original = lineembed.formats._tokenized
+
+        def recorded(numbered):
+            for no, tokens in original(numbered):
+                tokenized.append(" ".join(tokens))
+                yield no, tokens
+
+        monkeypatch.setattr(lineembed.formats, "_tokenized", recorded)
+        assert run(capsys, "lift", str(mapping), cert) == (0, "v 1 2 3 0\n", "")
+        later = serialize_mapping(chain.ss2adp) + serialize_mapping(chain.adp2lce)
+        assert any(line[:2] == "o " for line in tokenized)
+        assert not set(later.splitlines()).intersection(tokenized)
 
     def test_invalid_cert_names_the_checkers_reason(self, tmp_path, capsys) -> None:
         """Fails if lift prints a text of its own instead of the reason the

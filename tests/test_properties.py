@@ -1,8 +1,10 @@
 """Property tests: the verifier against the cubic oracle, the signed-graph
 text format round trip, the signed-graph parser against the per-line
-reference parser, the array constructor against build_signed_graph, the
-frontier subset DP against the full table, and the mapping text format of
-every reduction stage and of the chain.
+reference parser, the array constructor against build_signed_graph and
+both graph forms' text, the digraph constructor against its per-arc
+reference, the frontier subset DP against the full table, and the mapping
+text format of every reduction stage and of the chain, read against the
+per-line reference reader.
 
 Examples are derandomized and nothing is stored between runs, so every run
 checks the same graphs.
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lineembed.core import (
@@ -23,10 +25,11 @@ from lineembed.core import (
     build_signed_graph,
     verify_embedding,
 )
-from lineembed.errors import GraphError, ParseError
+from lineembed.errors import GraphError, ParseError, ReductionError
 from lineembed.formats import (
     parse_mapping,
     parse_signed_graph,
+    read_mapping,
     serialize_mapping,
     serialize_signed_graph,
 )
@@ -41,27 +44,37 @@ from lineembed.reductions import (
 )
 from lineembed.solvers import reachability_table, solve_subset_dp
 
-from oracles import parse_signed_graph_by_lines, table_ordering
+from oracles import (
+    build_digraph_by_arcs,
+    parse_signed_graph_by_lines,
+    read_mapping_by_lines,
+    table_ordering,
+)
 from test_core import assert_matches_naive
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
 
 
 @st.composite
-def signed_graphs(draw, max_n=9, min_n=0):
-    """A signed graph whose edges are inserted in a drawn order, each written
-    with its endpoints in a drawn order."""
+def written_edges(draw, max_n=9, min_n=0):
+    """(n, positive pairs, negative pairs) of a signed graph, its edges in a
+    drawn order, each written with its endpoints in a drawn order."""
     n = draw(st.integers(min_n, max_n))
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     signs = draw(st.lists(st.sampled_from("+-."), min_size=len(pairs), max_size=len(pairs)))
     edges = draw(st.permutations([(p, s) for p, s in zip(pairs, signs) if s != "."]))
     flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
     written = [((v, u) if flip else (u, v), s) for ((u, v), s), flip in zip(edges, flips)]
-    return build_signed_graph(
+    return (
         n,
         [e for e, s in written if s == "+"],
         [e for e, s in written if s == "-"],
     )
+
+
+def signed_graphs(max_n=9, min_n=0):
+    """A signed graph built from written_edges."""
+    return written_edges(max_n, min_n).map(lambda case: build_signed_graph(*case))
 
 
 @st.composite
@@ -107,6 +120,24 @@ def test_signed_graph_text_round_trip(g) -> None:
     text = serialize_signed_graph(g)
     assert parse_signed_graph(text) == g
     assert serialize_signed_graph(parse_signed_graph(text)) == text
+
+
+@settings(DETERMINISTIC, max_examples=400)
+@given(written_edges(max_n=12))
+@example((0, [], []))
+@example((1, [], []))
+@example((3, [(3, 1), (2, 1)], []))
+@example((3, [], [(3, 2), (1, 3)]))
+def test_array_and_set_graphs_write_the_same_text(case) -> None:
+    """The same edges, held as arrays in drawn order and orientation or as
+    sets, are written to the same bytes, and writing the array graph does
+    not build its sets.  Fails if the array writer orders rows other than
+    by (u, v), e.g. by the second endpoint first."""
+    n, pos, neg = case
+    from_arrays = _build_from_arrays(n, _pair_array(pos), _pair_array(neg))
+    text = serialize_signed_graph(from_arrays)
+    assert "pos" not in vars(from_arrays) and "neg" not in vars(from_arrays)
+    assert text == serialize_signed_graph(build_signed_graph(n, pos, neg))
 
 
 # Ways to write one `e` line.  The first is the canonical spelling; the
@@ -288,6 +319,39 @@ def test_array_constructor_matches_build_signed_graph(case) -> None:
 
 
 @st.composite
+def arc_lists(draw):
+    """(n, arcs) as a parser or a reduction may hand them over: arcs between
+    vertices of 1..n, repeats and self-loops among them, with up to two
+    endpoints out of range or beyond int64 inserted, and now and then a
+    negative n or one too large for int64 keys."""
+    n = draw(st.integers(0, 6))
+    inside = st.integers(1, max(n, 1))
+    arcs = draw(st.lists(st.tuples(inside, inside), max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        bad = draw(st.sampled_from([0, -1, n + 1, 2**63, -(2**63) - 1]))
+        arc = (draw(inside), bad) if draw(st.booleans()) else (bad, draw(inside))
+        arcs.insert(draw(st.integers(0, len(arcs))), arc)
+    return draw(st.sampled_from([n] * 8 + [-1, 2**40])), arcs
+
+
+def digraph_outcome(build, n, arcs):
+    try:
+        return build(n, arcs)
+    except ReductionError as exc:
+        return ("ReductionError", str(exc))
+
+
+@settings(DETERMINISTIC, max_examples=1000)
+@given(arc_lists())
+def test_digraph_constructor_matches_per_arc_reference(case) -> None:
+    """Fails if build_digraph's numpy pass lets a repeated or out-of-range
+    arc through, or names another offender than the first in arc order."""
+    assert digraph_outcome(build_digraph, *case) == digraph_outcome(
+        build_digraph_by_arcs, *case
+    )
+
+
+@st.composite
 def cnfs(draw):
     num_vars = draw(st.integers(0, 4))
     clauses = []
@@ -361,3 +425,47 @@ def test_mapping_with_one_token_changed(mapping, data) -> None:
     except ParseError:
         return
     assert serialize_mapping(parsed) == text
+
+
+# Ways to space a mapping line: before its first token, between tokens
+# and after its last.
+SPACINGS = (["", " "], [" ", "  ", "\t", " \t "], ["", " ", "\r"])
+
+
+@st.composite
+def mapping_texts(draw):
+    """What `reduce --map` writes for a drawn mapping: as written, with one
+    token changed, or with each line re-spaced and comments, blank lines
+    and a missing or doubled final newline drawn in."""
+    text = serialize_mapping(draw(MAPPINGS))
+    lines = [line.split() for line in text.splitlines()]
+    how = draw(st.sampled_from(["as written", "one token", "re-spaced"]))
+    if how == "as written":
+        return text
+    if how == "one token":
+        row = draw(st.integers(0, len(lines) - 1))
+        lines[row][draw(st.integers(0, len(lines[row]) - 1))] = draw(TOKENS)
+        return "".join(" ".join(tokens) + "\n" for tokens in lines)
+    out = []
+    for tokens in lines:
+        out.extend(draw(st.lists(st.sampled_from(["c note", "", " \t", "c"]), max_size=1)))
+        lead, gap, tail = (draw(st.sampled_from(ways)) for ways in SPACINGS)
+        out.append(lead + gap.join(tokens) + tail)
+    return "\n".join(out) + draw(st.sampled_from(["\n", "", "\n\n", "\nc end\n"]))
+
+
+def mapping_outcome(read, text):
+    try:
+        return read(text, "m.map")
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line)
+
+
+@settings(DETERMINISTIC, max_examples=600)
+@given(mapping_texts())
+def test_mapping_reader_matches_per_line_reference(text) -> None:
+    """read_mapping, byte-equal shortcut included, returns what the reader
+    that compares every line returns, or raises its error at its line."""
+    assert mapping_outcome(read_mapping, text) == mapping_outcome(
+        read_mapping_by_lines, text
+    )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from lineembed.reductions import (
     build_partition,
     build_set_system,
     eval_cnf,
+    falsified_clause,
     lift_adp_to_setsplitting,
     lift_lce_to_adp,
     lift_lce_to_sat,
@@ -79,6 +81,16 @@ class TestCnf:
     def test_eval_length_mismatch(self) -> None:
         with pytest.raises(ReductionError):
             eval_cnf(XYZ, Assignment((True,)))
+
+    def test_falsified_clause_is_the_first(self) -> None:
+        cnf = build_cnf(2, [(1, 2), (-1, 2), (1, -2), (-1, -2)])
+        assert [
+            falsified_clause(cnf, Assignment(values))
+            for values in itertools.product((False, True), repeat=2)
+        ] == [1, 3, 2, 4]
+        assert falsified_clause(build_cnf(2, [(1, 2)]), Assignment((True, False))) is None
+        with pytest.raises(ReductionError, match="covers 1 variables, formula has 3"):
+            falsified_clause(XYZ, Assignment((True,)))
 
     def test_build_rejects_bad_clauses(self) -> None:
         with pytest.raises(ReductionError):

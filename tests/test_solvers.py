@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
+import os
 import random
 import tracemalloc
 
@@ -261,6 +263,21 @@ class TestTableSize:
         monkeypatch.setattr(solvers, "_subset_universe", no_universe)
         got = solve_subset_dp(g)
         assert got is None or verify_embedding(g, got).valid
+
+    def test_available_memory_is_memavailable(self, monkeypatch) -> None:
+        """Fails if the refusal compares with total physical memory where
+        /proc/meminfo says how much is available."""
+        meminfo = "MemTotal:  8000000 kB\nMemAvailable:  1234 kB\nCached: 5 kB\n"
+        monkeypatch.setattr(solvers, "open", lambda path: io.StringIO(meminfo), raising=False)
+        assert solvers._available_bytes() == 1234 * 1024
+
+    def test_available_memory_without_meminfo(self, monkeypatch) -> None:
+        def unreadable(path):
+            raise OSError(path)
+
+        monkeypatch.setattr(solvers, "open", unreadable, raising=False)
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert 0 < solvers._available_bytes() <= physical
 
     def test_frontier_layer_refused_before_allocation(self, monkeypatch) -> None:
         # Every prefix set of a negative path is reachable, so its frontier
