@@ -107,7 +107,8 @@ def build_signed_graph(
     positive: Iterable[tuple[int, int]],
     negative: Iterable[tuple[int, int]],
 ) -> SignedGraph:
-    """Validate and build a signed graph, stored as edge sets.
+    """Validate and build a signed graph, stored as edge sets.  A plain tuple
+    (u, v) with u < v is stored as given, any other pair as a new one.
 
     Raises GraphError on endpoints outside 1..n, loops, duplicated pairs
     within one sign, or a pair carrying both signs.
@@ -116,16 +117,18 @@ def build_signed_graph(
         raise GraphError(f"vertex count {n} is negative")
     # The range and loop tests run inline; _checked_pair names the offender.
     pos: set[Edge] = set()
-    for u, v in positive:
-        e = (u, v) if u < v else (v, u)
+    for pair in positive:
+        u, v = pair
+        e = (pair if type(pair) is tuple else (u, v)) if u < v else (v, u)
         if not 1 <= e[0] < e[1] <= n:
             e = _checked_pair(u, v, n, "positive")
         if e in pos:
             raise GraphError(f"duplicate positive edge ({e[0]}, {e[1]})")
         pos.add(e)
     neg: set[Edge] = set()
-    for u, v in negative:
-        e = (u, v) if u < v else (v, u)
+    for pair in negative:
+        u, v = pair
+        e = (pair if type(pair) is tuple else (u, v)) if u < v else (v, u)
         if not 1 <= e[0] < e[1] <= n:
             e = _checked_pair(u, v, n, "negative")
         if e in neg:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
@@ -127,13 +128,14 @@ def instance_kind(text: str, source: Optional[str] = None) -> str:
 
 def serialize_signed_graph(g: SignedGraph) -> str:
     """The header, then the `e +` and the `e -` lines, each sign's (u, v),
-    u < v, ascending, whatever form the graph holds: edge sets sort as
-    tuples, edge arrays by one lexsort, without building the sets.  Each
-    sign's lines are formatted in one operation."""
+    u < v, ascending, whatever form the graph holds: edge sets by stable
+    sorts keyed on v, then u; edge arrays by one lexsort, without building
+    the sets.  Each sign's lines are formatted in one operation."""
     out = [f"p sg {g.n} {g.m_pos} {g.m_neg}\n"]
     for sign, name in (("+", "pos"), ("-", "neg")):
         if name in vars(g):
-            flat = tuple(chain.from_iterable(sorted(vars(g)[name])))
+            edges = sorted(vars(g)[name], key=itemgetter(1))
+            flat = tuple(chain.from_iterable(sorted(edges, key=itemgetter(0))))
         else:
             edges = vars(g)[name + "_array"]
             flat = tuple(edges[np.lexsort((edges[:, 1], edges[:, 0]))].ravel().tolist())
@@ -631,18 +633,20 @@ def read_mapping(
     (stage, source instance, reduced instance, mapping).
 
     The first section's source (for the chain, the sat2ss formula) is reduced
-    again.  A text byte for byte its serialization is read only up to the
-    second header; in any other, the content lines, spacing normalized, must
-    be the serialization, and the first line that differs is the error."""
+    again, once.  A text byte for byte its serialization is read only up to
+    the second header; in any other, the content lines, spacing normalized,
+    must be the serialization, and the first line that differs is the error."""
     section, _, rest = text.partition("\np ")
     head, _, written = section.partition("\n")
     first = head[6:]
     stage = "sat2lce" if first == "sat2ss" and rest.startswith("map ss2adp\n") else first
+    done: dict = {}  # (stage, source instance) -> (reduced, mapping)
     try:
         instance = _SOURCES[first](list(enumerate(written.splitlines(), start=2)), source)
         reduced, mapping = stage_reductions()[stage](instance)
         if serialize_mapping(mapping) == text:
             return stage, instance, reduced, mapping
+        done[stage, instance] = reduced, mapping
     except (KeyError, LineEmbedError):
         pass
     # Strings, not token lists, which the garbage collector would scan.
@@ -666,7 +670,8 @@ def read_mapping(
     stage = first if len(stages) == 1 else "sat2lce"
     with _as_parse_error(source, hdr_no):
         instance = _SOURCES[first](body, source)
-        reduced, mapping = stage_reductions()[stage](instance)
+        reduce = stage_reductions()[stage]
+        reduced, mapping = done.get((stage, instance)) or reduce(instance)
     # None stands for the end of the mapping, so a short or long file differs.
     want = serialize_mapping(mapping).split("\n")[:-1] + [None]
     got = [line for _, line in lines] + [None]

@@ -7,6 +7,7 @@ so a given parameter set always produces the identical instance.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from typing import Optional
 
 from .core import SignedGraph, build_signed_graph
@@ -45,6 +46,8 @@ def gen_planted_complete(
     Unit intervals start at n sorted uniform draws from [0, spread]; pairs
     at distance at most 1 become positive edges, all other pairs negative.
     Labels are shuffled so the planted ordering is hidden.  Always feasible.
+    Row i's pairs (labels[i], labels[j]), j > i, unordered, are two slices
+    of one list of all pairs: no statement runs per pair.
     """
     if spread is None:
         spread = max(n / 4.0, 1.0)
@@ -54,9 +57,9 @@ def gen_planted_complete(
     centers = sorted(rng.random() * spread for _ in range(n))
     labels = list(range(1, n + 1))
     rng.shuffle(labels)
-    pos = []
-    neg = []
-    j_end = 0
+    pairs = list(combinations(labels, 2))
+    pos, neg = [], []
+    j_end = start = 0
     for i in range(n):
         # Window scan: centers are sorted, so the positive neighbours of i
         # to its right form a prefix of i+1..n-1.
@@ -64,10 +67,10 @@ def gen_planted_complete(
             j_end = i + 1
         while j_end < n and centers[j_end] - centers[i] <= 1.0:
             j_end += 1
-        for j in range(i + 1, n):
-            a, b = labels[i], labels[j]
-            pair = (a, b) if a < b else (b, a)
-            (pos if j < j_end else neg).append(pair)
+        mid, end = start + j_end - i - 1, start + n - i - 1
+        pos += pairs[start:mid]
+        neg += pairs[mid:end]
+        start = end
     return build_signed_graph(n, pos, neg)
 
 

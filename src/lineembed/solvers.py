@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import os
 import resource
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -225,7 +226,8 @@ def _table_bytes(n: int) -> int:
 
 def _available_bytes() -> int:
     """The smaller of MemAvailable (physical memory where /proc/meminfo
-    cannot be read) and the address-space soft limit."""
+    cannot be read) and the address-space soft limit less the address space
+    the process already holds (/proc/self/statm, where it can be read)."""
     try:
         with open("/proc/meminfo") as info:
             fields = dict(line.split(":", 1) for line in info)
@@ -234,7 +236,9 @@ def _available_bytes() -> int:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
     if soft != resource.RLIM_INFINITY:
-        have = min(have, soft)
+        with suppress(OSError, ValueError), open("/proc/self/statm") as statm:
+            soft -= int(statm.read().partition(" ")[0]) * os.sysconf("SC_PAGE_SIZE")
+        have = min(have, max(soft, 0))
     return have
 
 

@@ -10,7 +10,7 @@ import itertools
 from fractions import Fraction
 from typing import Optional
 
-from lineembed.core import Ordering, build_signed_graph
+from lineembed.core import Ordering, SignedGraph, _checked_pair, build_signed_graph
 from lineembed.errors import (
     CapExceededError,
     GraphError,
@@ -252,6 +252,33 @@ def parse_signed_graph_by_lines(text, source=None):
         return build_signed_graph(n, pos, neg)
     except LineEmbedError as exc:
         raise ParseError(str(exc), source, hdr_no) from exc
+
+
+def build_signed_graph_by_pairs(n, positive, negative):
+    """The signed-graph constructor that stores a new ordered tuple for
+    every pair, kept as the reference for the package's, which keeps the
+    caller's ordered tuples."""
+    if n < 0:
+        raise GraphError(f"vertex count {n} is negative")
+    pos = set()
+    for u, v in positive:
+        e = (u, v) if u < v else (v, u)
+        if not 1 <= e[0] < e[1] <= n:
+            e = _checked_pair(u, v, n, "positive")
+        if e in pos:
+            raise GraphError(f"duplicate positive edge ({e[0]}, {e[1]})")
+        pos.add(e)
+    neg = set()
+    for u, v in negative:
+        e = (u, v) if u < v else (v, u)
+        if not 1 <= e[0] < e[1] <= n:
+            e = _checked_pair(u, v, n, "negative")
+        if e in neg:
+            raise GraphError(f"duplicate negative edge ({e[0]}, {e[1]})")
+        if e in pos:
+            raise GraphError(f"edge ({e[0]}, {e[1]}) appears with both signs")
+        neg.add(e)
+    return SignedGraph(n, frozenset(pos), frozenset(neg))
 
 
 def build_digraph_by_arcs(n, arcs):

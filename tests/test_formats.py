@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from lineembed import reductions
 from lineembed.core import Ordering, build_signed_graph
 from lineembed.errors import ParseError
 from lineembed.formats import (
@@ -404,6 +405,28 @@ class TestMappingFormat:
             for i, line in enumerate(lines)
         )
         assert parse_mapping(text) == parse_mapping("\n".join(lines)) == mapping
+
+    @pytest.mark.parametrize("where", ["section", "file"])
+    def test_commented_chain_is_reduced_once(self, monkeypatch, where) -> None:
+        """A valid chain mapping with a `c note` line in front of its first
+        section's content, or of the whole file, runs the sat2lce reduction
+        once.  The first fails if the line-by-line comparison reduces the
+        source again instead of reusing the byte shortcut's reduction."""
+        _, mapping = sat_to_lce(XYZ)
+        text = serialize_mapping(mapping)
+        if where == "section":
+            text = text.replace("p map sat2ss\n", "p map sat2ss\nc note\n", 1)
+        else:
+            text = "c note\n" + text
+        calls: list[int] = []
+
+        def counted(cnf):
+            calls.append(1)
+            return sat_to_lce(cnf)
+
+        monkeypatch.setattr(reductions, "sat_to_lce", counted)
+        assert parse_mapping(text) == mapping
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "old, new, line, expected",

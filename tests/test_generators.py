@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from lineembed.bench import BenchReport, run_bench
@@ -15,6 +17,129 @@ from lineembed.generators import (
 )
 from lineembed.intervals import solve_complete
 from lineembed.reductions import build_cnf
+
+# SHA-256 of serialize_signed_graph(gen_planted_complete(n, spread, seed)) by
+# (n, spread), one per seed from 0, recorded from the generator that built
+# each pair with its own statement.
+PLANTED_DIGESTS = {
+    (0, None): (
+        "91d56c44677dfd9136d553ae4438f95876e808379f4d5afbad34b22ac5554017",
+        "91d56c44677dfd9136d553ae4438f95876e808379f4d5afbad34b22ac5554017",
+        "91d56c44677dfd9136d553ae4438f95876e808379f4d5afbad34b22ac5554017",
+    ),
+    (0, 0.5): (
+        "91d56c44677dfd9136d553ae4438f95876e808379f4d5afbad34b22ac5554017",
+        "91d56c44677dfd9136d553ae4438f95876e808379f4d5afbad34b22ac5554017",
+        "91d56c44677dfd9136d553ae4438f95876e808379f4d5afbad34b22ac5554017",
+    ),
+    (0, 3.0): (
+        "91d56c44677dfd9136d553ae4438f95876e808379f4d5afbad34b22ac5554017",
+        "91d56c44677dfd9136d553ae4438f95876e808379f4d5afbad34b22ac5554017",
+        "91d56c44677dfd9136d553ae4438f95876e808379f4d5afbad34b22ac5554017",
+    ),
+    (1, None): (
+        "ee703773c168248909a9548e2ae29085fa7a73c88871ce0f8c34afc7f2767e48",
+        "ee703773c168248909a9548e2ae29085fa7a73c88871ce0f8c34afc7f2767e48",
+        "ee703773c168248909a9548e2ae29085fa7a73c88871ce0f8c34afc7f2767e48",
+    ),
+    (1, 0.5): (
+        "ee703773c168248909a9548e2ae29085fa7a73c88871ce0f8c34afc7f2767e48",
+        "ee703773c168248909a9548e2ae29085fa7a73c88871ce0f8c34afc7f2767e48",
+        "ee703773c168248909a9548e2ae29085fa7a73c88871ce0f8c34afc7f2767e48",
+    ),
+    (1, 3.0): (
+        "ee703773c168248909a9548e2ae29085fa7a73c88871ce0f8c34afc7f2767e48",
+        "ee703773c168248909a9548e2ae29085fa7a73c88871ce0f8c34afc7f2767e48",
+        "ee703773c168248909a9548e2ae29085fa7a73c88871ce0f8c34afc7f2767e48",
+    ),
+    (2, None): (
+        "39ed84681aaaf28618bef9642dcfee7930eae6646ea3d653ed17451047410652",
+        "39ed84681aaaf28618bef9642dcfee7930eae6646ea3d653ed17451047410652",
+        "39ed84681aaaf28618bef9642dcfee7930eae6646ea3d653ed17451047410652",
+    ),
+    (2, 0.5): (
+        "39ed84681aaaf28618bef9642dcfee7930eae6646ea3d653ed17451047410652",
+        "39ed84681aaaf28618bef9642dcfee7930eae6646ea3d653ed17451047410652",
+        "39ed84681aaaf28618bef9642dcfee7930eae6646ea3d653ed17451047410652",
+    ),
+    (2, 3.0): (
+        "39ed84681aaaf28618bef9642dcfee7930eae6646ea3d653ed17451047410652",
+        "5af63e38a76014562fad2e6b6b0c9f4084f0c794386ece09253ec92dae7ba23e",
+        "39ed84681aaaf28618bef9642dcfee7930eae6646ea3d653ed17451047410652",
+    ),
+    (5, None): (
+        "573bb45d4b56425127113d4374ee40fd8b3e9490b6e4f8d870adc2152d816fd5",
+        "573bb45d4b56425127113d4374ee40fd8b3e9490b6e4f8d870adc2152d816fd5",
+        "9ec50147cec26369353e359a60ef6a4a82dff9b33b72122ae537d19650957f64",
+    ),
+    (5, 0.5): (
+        "573bb45d4b56425127113d4374ee40fd8b3e9490b6e4f8d870adc2152d816fd5",
+        "573bb45d4b56425127113d4374ee40fd8b3e9490b6e4f8d870adc2152d816fd5",
+        "573bb45d4b56425127113d4374ee40fd8b3e9490b6e4f8d870adc2152d816fd5",
+    ),
+    (5, 3.0): (
+        "70c3768ecaf20c00705d5c110817d45b0843ad3487ceb493e7280a3ea01b87cc",
+        "68707142f0812782842867978d9a75a4301ca3b825ca00999f17d7d741774624",
+        "b0473d2a834e890c9672a62ed2068d965a75bf4f9629d16fd0c02549bb6f8c7d",
+    ),
+    (20, None): (
+        "550005cf297374f55bf5970b3ebf04dc70bea317372b5a5b9125e18577bfe31f",
+        "62452129cf5f703b6db9f381ed95dfabf23b1319dd9d0bdb01625387b34d338a",
+        "d9038556a20e2dbc41f9f3b02f34b91cf7aea7f1d89750b2a434dc293e63dfc4",
+    ),
+    (20, 0.5): (
+        "69fe43336a3317c486c556ec50792e0bc6364f1ae3b75b1392ebdc8ba2354488",
+        "69fe43336a3317c486c556ec50792e0bc6364f1ae3b75b1392ebdc8ba2354488",
+        "69fe43336a3317c486c556ec50792e0bc6364f1ae3b75b1392ebdc8ba2354488",
+    ),
+    (20, 3.0): (
+        "0540dd9bdac53c9be20f2f9c2cd1847ddd0f0c1573f9bbfe6418b5ca01691db4",
+        "7faf52179b6a631347d1789933ffaf6f0e105c54662c14b4d38fa4b2aa355a95",
+        "fb6590cb43b3367e5a8f7bacc2003bcfcedb5018c728589b95ba5aad80e7bd3e",
+    ),
+    (64, None): (
+        "b5e45e0de4e642e82fb63b10f7d23ca2ced7f92211359687eedb9e6497d23800",
+        "8d46190a486c8a2ac3bc58066ccd1cc6cc119ee1399f1720c54c787de3c1d6da",
+        "3b004599eb2fce490b6b5578a3acd4246cdb9af34ed629d962203792bde7722c",
+    ),
+    (64, 0.5): (
+        "7565be4cf55b9acc48c39b6f004458854f15422775d6fff5a5dfec19eae2fc41",
+        "7565be4cf55b9acc48c39b6f004458854f15422775d6fff5a5dfec19eae2fc41",
+        "7565be4cf55b9acc48c39b6f004458854f15422775d6fff5a5dfec19eae2fc41",
+    ),
+    (64, 3.0): (
+        "f3207f4f4e1de0959cc5e336c41115c9823d7531432ba613f2b2e86e62acd6e4",
+        "c0346a2d220f3b186856d77cfd0a7a570f1654079195e7387f14baea512e5523",
+        "572fefcc47731498ab204bc5f0852ae9592b42482c58692f12347d39049f8005",
+    ),
+    (257, None): (
+        "0d2433f899ff079d31f9a1ec07f1320401ff77971f7ccb71440a0e0bae49597d",
+        "6a28f3a703dc18d2aa5c1210c3c9a1c4a9ddafce63b3204ed18a290450caea36",
+        "1a333c2d55140826c95fb1663ee95d80cd1c6ea3511dff1714609d79e3ac6d2e",
+    ),
+    (257, 0.5): (
+        "b3ed681f3df70992ab47455644b759f89fe1955441ba72783b8fee44f3c0028b",
+        "b3ed681f3df70992ab47455644b759f89fe1955441ba72783b8fee44f3c0028b",
+        "b3ed681f3df70992ab47455644b759f89fe1955441ba72783b8fee44f3c0028b",
+    ),
+    (257, 3.0): (
+        "b3c6ca972db4e2ead9ab7f6c5a76237e1333699987fcbc1bf5dbbb22ee8b7a4a",
+        "e4a3fba026b02ffbef0f1989ef232820fada8e0ff89108f2435abc052be7aee3",
+        "34cd9c07c616dcaa6edaca954e9e9dbcb715cf7db59cb903183571789e23126b",
+    ),
+    (1000, None): (
+        "66ee03e8e0aca2ff0058d64f05936e3f4f98b3aa350607e76abc67b8d386386d",
+        "34524f3fd8635a926fa46a46c1044ee8c267610633615f52547ff8c84843cc0a",
+    ),
+    (1000, 0.5): (
+        "bc2ceac663bc50c260724a685e8eb88a756eaf32f9251d8b5704b7786c5622b8",
+        "bc2ceac663bc50c260724a685e8eb88a756eaf32f9251d8b5704b7786c5622b8",
+    ),
+    (1000, 3.0): (
+        "8fa7c08d6ab223eb052de4674e348c99121850647b6679df5f98319efe91450b",
+        "6904db453b881a2b47775e7b553f6824ebadceaea10ccf7bb9b79cc5fe70df73",
+    ),
+}
 
 
 class TestRandomSignedGraph:
@@ -75,6 +200,16 @@ class TestPlantedComplete:
     def test_rejects_bad_spread(self) -> None:
         with pytest.raises(GraphError):
             gen_planted_complete(4, spread=0.0, seed=0)
+
+    @pytest.mark.parametrize(
+        "n, spread, seed",
+        [(n, spread, seed) for (n, spread), digests in PLANTED_DIGESTS.items()
+         for seed in range(len(digests))],
+    )
+    def test_bytes_frozen(self, n, spread, seed) -> None:
+        text = serialize_signed_graph(gen_planted_complete(n, spread, seed))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == PLANTED_DIGESTS[n, spread][seed]
 
 
 class TestRandomCnf:

@@ -1,7 +1,8 @@
 """Property tests: the verifier against the cubic oracle, the signed-graph
 text format round trip, the signed-graph parser against the per-line
 reference parser, the array constructor against build_signed_graph and
-both graph forms' text, the digraph constructor against its per-arc
+both graph forms' text, build_signed_graph against its per-pair copy on
+pairs of every form, the digraph constructor against its per-arc
 reference, the frontier subset DP against the full table, and the mapping
 text format of every reduction stage and of the chain, read against the
 per-line reference reader.
@@ -13,6 +14,7 @@ checks the same graphs.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -46,6 +48,7 @@ from lineembed.solvers import reachability_table, solve_subset_dp
 
 from oracles import (
     build_digraph_by_arcs,
+    build_signed_graph_by_pairs,
     parse_signed_graph_by_lines,
     read_mapping_by_lines,
     table_ordering,
@@ -425,6 +428,54 @@ def test_mapping_with_one_token_changed(mapping, data) -> None:
     except ParseError:
         return
     assert serialize_mapping(parsed) == text
+
+
+Pair = namedtuple("Pair", "u v")
+# Ways to hand build_signed_graph one pair, and its pairs of one sign.
+PAIR_FORMS = {"tuple": tuple, "list": list, "namedtuple": Pair._make, "iterator": iter}
+CONTAINERS = {"list": list, "set": set, "generator": lambda pairs: (p for p in pairs)}
+
+
+@st.composite
+def pair_inputs(draw):
+    """(n, signs): endpoint_lists' pairs, and for each sign its pairs, the
+    form of each pair (a tuple, list, namedtuple or iterator) and the kind
+    of iterable holding them (a list, a set when all its pairs hash by
+    value, or a generator)."""
+    n, pos, neg = draw(endpoint_lists())
+    signs = []
+    for pairs in (pos, neg):
+        forms = [draw(st.sampled_from(sorted(PAIR_FORMS))) for _ in pairs]
+        kinds = ["list", "generator"]
+        if set(forms) <= {"tuple", "namedtuple"}:
+            kinds.append("set")
+        signs.append((pairs, forms, draw(st.sampled_from(kinds))))
+    return n, signs
+
+
+def handed(signs):
+    """Fresh positive and negative iterables, as pair_inputs describes them."""
+    return [
+        CONTAINERS[kind](PAIR_FORMS[f](p) for p, f in zip(pairs, forms))
+        for pairs, forms, kind in signs
+    ]
+
+
+@settings(DETERMINISTIC, max_examples=1000)
+@given(pair_inputs())
+@example((3, [([(1, 2), (3, 2)], ["namedtuple", "tuple"], "set"),
+              ([(1, 3)], ["list"], "generator")]))
+def test_build_signed_graph_matches_per_pair_copy(case) -> None:
+    """build_signed_graph, which stores the caller's ordered plain tuples,
+    returns what the copy that builds a new tuple for every pair returns,
+    down to the repr, or raises its GraphError text.  Fails if a tuple
+    subclass or a list is stored as given."""
+    n, signs = case
+    got = build_outcome(build_signed_graph, n, *handed(signs))
+    want = build_outcome(build_signed_graph_by_pairs, n, *handed(signs))
+    assert (got, repr(got)) == (want, repr(want))
+    if isinstance(got, SignedGraph):
+        assert all(type(e) is tuple for e in got.pos | got.neg)
 
 
 # Ways to space a mapping line: before its first token, between tokens

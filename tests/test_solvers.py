@@ -271,6 +271,32 @@ class TestTableSize:
         monkeypatch.setattr(solvers, "open", lambda path: io.StringIO(meminfo), raising=False)
         assert solvers._available_bytes() == 1234 * 1024
 
+    def test_available_memory_under_address_space_limit(self, monkeypatch) -> None:
+        """Under an address-space soft limit, only what the process does not
+        hold yet is available.  Fails if the whole soft limit counts as
+        free."""
+        page = os.sysconf("SC_PAGE_SIZE")
+        held = 146 * 2**20 // page
+        files = {
+            "/proc/meminfo": "MemTotal:  8000000 kB\nMemAvailable:  7000000 kB\n",
+            "/proc/self/statm": f"{held} 9000 2000 500 0 30000 0\n",
+        }
+
+        def read(path):
+            if path not in files:
+                raise FileNotFoundError(path)
+            return io.StringIO(files[path])
+
+        monkeypatch.setattr(solvers, "open", read, raising=False)
+        soft = 256 * 2**20
+        limits = (soft, solvers.resource.RLIM_INFINITY)
+        monkeypatch.setattr(solvers.resource, "getrlimit", lambda which: limits)
+        assert solvers._available_bytes() == soft - held * page
+        files["/proc/self/statm"] = f"{300 * 2**20 // page} 0 0 0 0 0 0\n"
+        assert solvers._available_bytes() == 0
+        del files["/proc/self/statm"]
+        assert solvers._available_bytes() == soft
+
     def test_available_memory_without_meminfo(self, monkeypatch) -> None:
         def unreadable(path):
             raise OSError(path)
