@@ -681,9 +681,3 @@ def read_mapping(
         no = lines[min(i, len(lines) - 1)][0]
         raise ParseError("expected {}, got {}".format(*said), source, no)
     return stage, instance, reduced, mapping
-
-
-def parse_mapping(text: str, source: Optional[str] = None) -> AnyMapping:
-    """The mapping of what `reduce --map` writes, checked as read_mapping
-    checks it."""
-    return read_mapping(text, source)[3]

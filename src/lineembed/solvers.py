@@ -13,9 +13,12 @@ the prefix characterization: an ordering is feasible iff each vertex v is
 Both clauses only look at v's component of G+ union G-.  solve_subset_dp
 therefore runs the DP per component, expanding only the reachable prefix
 sets layer by layer (a frontier), and checks each layer's predicted memory
-before it allocates.  reachability_table fills all 2^n sets at once: it is
-the reference the frontier is tested against and the O*(2^n) series that
-`bench` times.
+before it allocates.  On a connected graph with no witness (no vertex with
+both positive and negative neighbours) every prefix set is reachable, so
+the frontier spans all 2^n sets: `bench` times that O*(2^n) series on
+negative paths.  With no witness the goodness rule has nothing to test, so
+`bench` does not time it; a graph with witnesses reaches fewer sets but may
+cost more per set.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import math
 import os
 import resource
 from contextlib import suppress
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,14 +36,6 @@ from .errors import CapExceededError
 
 BRUTE_FORCE_CAP = 10
 SUBSET_DP_CAP = 64
-
-
-def _subset_universe(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(subsets sorted by popcount, layer boundaries) for size n."""
-    counts = np.bitwise_count(np.arange(1 << n, dtype=np.int64)).astype(np.int64)
-    by_count = np.argsort(counts, kind="stable").astype(np.int64)
-    bounds = np.searchsorted(counts[by_count], np.arange(n + 2))
-    return by_count, bounds
 
 
 def _local_masks(verts: Sequence[int], adj: Sequence[Sequence[int]]) -> list[int]:
@@ -125,52 +119,6 @@ def solve_bruteforce(g: SignedGraph, cap: int = BRUTE_FORCE_CAP) -> Optional[Ord
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReachabilityTable:
-    """DP table over all subsets of vertices, indexed by bitmask.
-
-    reachable[X] is True when some feasible prefix realizes exactly the set
-    X; chosen[X] is then the smallest vertex that can be placed last in such
-    a prefix (0 where undefined).
-    """
-
-    n: int
-    reachable: np.ndarray
-    chosen: np.ndarray
-
-
-def _bad_extension_masks(g: SignedGraph) -> np.ndarray:
-    """badmask[X] has bit v-1 set when v (not in X) is NOT good for X.
-
-    Accumulated per witness vertex w over all subsets at once: a placed w
-    (in X) with positive neighbours outside X blocks all its negative
-    neighbours except the single outside neighbour case, which blocks all
-    but that neighbour; an unplaced w with a positive neighbour inside X
-    blocks all its negative neighbours.  Bits for v in X are meaningless.
-    """
-    n = g.n
-    size = 1 << n
-    subsets = np.arange(size, dtype=np.int64)
-    bad = np.zeros(size, dtype=np.int64)
-    zero = np.int64(0)
-    verts = range(1, n + 1)
-    pos = _local_masks(verts, Graph(n, g.pos).adj)
-    neg = _local_masks(verts, Graph(n, g.neg).adj)
-    for w in range(n):
-        nw = np.int64(neg[w])
-        if nw == 0:
-            continue
-        pw = np.int64(pos[w])
-        w_in = (subsets & np.int64(1 << w)) != 0
-        out_w = pw & ~subsets
-        inside = (pw & subsets) != 0
-        lone = (out_w != 0) & ((out_w & (out_w - 1)) == 0)
-        spare = np.where(lone, out_w, zero)
-        bad |= np.where(w_in & (out_w != 0), nw & ~spare, zero)
-        bad |= np.where(~w_in & inside, nw, zero)
-    return bad
-
-
 def _witnesses(pos: Sequence[int], neg: Sequence[int]) -> list[np.ndarray]:
     """[vertices, positive masks, negative masks] of the witnesses, as uint64
     arrays: the vertices with positive and negative neighbours, the only
@@ -190,9 +138,12 @@ _CHUNK_CELLS = 1 << 15
 def _frontier_bad_masks(
     sets: np.ndarray, wit: np.ndarray, pw: np.ndarray, nw: np.ndarray
 ) -> np.ndarray:
-    """The rule of _bad_extension_masks for a frontier: bad[j] has bit i set
-    when local vertex i (not in sets[j]) is NOT good for sets[j].
+    """bad[j] has bit i set when local vertex i (not in sets[j]) is NOT good
+    for sets[j]; bits of vertices in sets[j] are meaningless.
 
+    A placed witness w with positive neighbours outside the set blocks its
+    negative neighbours, except the outside one when there is just one; an
+    unplaced w with a positive neighbour inside the set blocks them all.
     sets are uint64 local masks and wit, pw, nw come from _witnesses.  All
     witnesses are taken at once, one column each, over chunks of at most
     _CHUNK_CELLS sets x witnesses, so the matrices stay small however wide
@@ -214,16 +165,6 @@ def _frontier_bad_masks(
     return bad
 
 
-def _table_bytes(n: int) -> int:
-    """Predicted peak bytes of a table fill on n vertices.
-
-    Measured with tracemalloc at n = 14..20, the fill peaks at 60 bytes per
-    subset while the bad-extension masks are built, then at 26 per subset
-    plus 25 per cell of the largest layer's C(n, n/2) x n matrices.
-    """
-    return 72 * (1 << n) + 32 * math.comb(n, n // 2) * n
-
-
 def _available_bytes() -> int:
     """The smaller of MemAvailable (physical memory where /proc/meminfo
     cannot be read) and the address-space soft limit less the address space
@@ -240,52 +181,6 @@ def _available_bytes() -> int:
             soft -= int(statm.read().partition(" ")[0]) * os.sysconf("SC_PAGE_SIZE")
         have = min(have, max(soft, 0))
     return have
-
-
-def _check_table_fits(n: int) -> None:
-    """Raise CapExceededError when the predicted fill exceeds memory."""
-    need, have = _table_bytes(n), _available_bytes()
-    if need > have:
-        raise CapExceededError(
-            f"n={n}: the subset DP table needs about {need / 2**20:,.0f} MB "
-            f"of memory, more than the {have / 2**20:,.0f} MB available"
-        )
-
-
-def reachability_table(g: SignedGraph, cap: int = SUBSET_DP_CAP) -> ReachabilityTable:
-    """Fill the subset DP table layer by layer (increasing popcount); raises
-    CapExceededError when n exceeds cap or the fill would not fit in memory.
-
-    The full 2^n table is the reference the frontier DP is tested against,
-    and the O*(2^n) fill that `bench` times.
-    """
-    n = g.n
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds the subset DP cap {cap}")
-    _check_table_fits(n)
-    size = 1 << n
-    reachable = np.zeros(size, dtype=bool)
-    reachable[0] = True
-    chosen = np.zeros(size, dtype=np.int8)
-    if n == 0:
-        return ReachabilityTable(0, reachable, chosen)
-
-    bad = _bad_extension_masks(g)
-    by_count, bounds = _subset_universe(n)
-    vbits = np.int64(1) << np.arange(n, dtype=np.int64)
-    vindex = np.arange(n, dtype=np.int64)
-
-    for k in range(1, n + 1):
-        layer = by_count[bounds[k] : bounds[k + 1]]
-        member = (layer[:, None] & vbits[None, :]) != 0
-        preds = layer[:, None] ^ (layer[:, None] & vbits[None, :])
-        ok = member & reachable[preds]
-        ok &= ((bad[preds] >> vindex[None, :]) & 1) == 0
-        any_ok = ok.any(axis=1)
-        hit = layer[any_ok]
-        reachable[hit] = True
-        chosen[hit] = (ok.argmax(axis=1)[any_ok] + 1).astype(np.int8)
-    return ReachabilityTable(n, reachable, chosen)
 
 
 # Peak bytes of one frontier step, an upper bound fitted to tracemalloc
@@ -321,13 +216,12 @@ def _next_layer(
     smallest such v (bits[v] is v's bit).
 
     Vertices are taken in increasing order, as many at a time as keep the
-    frontier x vertices candidates within _CHUNK_CELLS, and each group's new
-    sets are merged into the layer so far; a set already there came from a
-    smaller vertex and keeps it.  So a narrow frontier is extended in one
-    step, and a wide one never holds all its candidate extensions at once.
+    frontier x vertices candidates within _CHUNK_CELLS.  The first group's
+    sets are the layer so far, and each later group's new sets are merged
+    into it; a set already there came from a smaller vertex and keeps it.
+    So a narrow frontier is extended in one step with no merge, and a wide
+    one never holds all its candidate extensions at once.
     """
-    new = np.zeros(0, dtype=np.uint64)
-    last = np.zeros(0, dtype=np.uint8)
     step = max(1, _CHUNK_CELLS // len(sets))
     for low in range(0, len(bits), step):
         group = bits[low : low + step]
@@ -335,10 +229,14 @@ def _next_layer(
         # set is its smallest last vertex.
         v, row = np.nonzero(((free[:, None] & group) != 0).T)
         grown, first = np.unique(sets[row] | group[v], return_index=True)
+        got = (v[first] + low).astype(np.uint8)
+        if low == 0:
+            new, last = grown, got
+            continue
         at = np.searchsorted(new, grown)
         fresh = new[np.minimum(at, len(new) - 1)] != grown if len(new) else slice(None)
         new = np.insert(new, at[fresh], grown[fresh])
-        last = np.insert(last, at[fresh], v[first][fresh] + low)
+        last = np.insert(last, at[fresh], got[fresh])
     return new, last
 
 
@@ -416,10 +314,10 @@ def solve_subset_dp(g: SignedGraph, cap: int = SUBSET_DP_CAP) -> Optional[Orderi
     the work follows the reachable sets rather than all 2^n.
 
     The ordering is rebuilt backwards: at every step the smallest vertex
-    that any component can place last goes last, which is the full table's
-    "smallest eligible vertex last" rule, so the ordering is the one
-    reachability_table gives.  The result is not re-verified here; callers
-    that print it check it first.
+    that any component can place last goes last.  That is the "smallest
+    eligible vertex last" rule of a full 2^n table, so the ordering is the
+    one the test suite's reference table gives.  The result is not
+    re-verified here; callers that print it check it first.
     """
     n = g.n
     if n > cap:

@@ -18,7 +18,6 @@ import lineembed.solvers
 from lineembed.cli import main
 from lineembed.formats import (
     parse_cnf,
-    parse_mapping,
     parse_model_cert,
     parse_ordering_cert,
     parse_signed_graph,
@@ -34,6 +33,8 @@ from lineembed.reductions import (
     sat_to_setsplitting,
     setsplitting_solution_to_adp,
 )
+
+from oracles import parse_mapping
 
 P3_TEXT = "p sg 3 2 1\ne + 1 2\ne + 2 3\ne - 1 3\n"
 CLAW_TEXT = (
@@ -729,6 +730,30 @@ class TestBenchCommand:
     def test_bad_range(self, capsys) -> None:
         rc, _, err = run(capsys, "bench", "--min-n", "8", "--max-n", "7")
         assert rc == 2 and "min-n" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--per-size", "0"), ("--per-size", "-2"), ("--min-n", "-1", "--max-n", "1")],
+        ids=["per-size-0", "per-size-negative", "min-n-negative"],
+    )
+    def test_counts_below_range(self, capsys, argv) -> None:
+        """Fails if --per-size 0 reaches the report, whose median of no runs
+        raised a StatisticsError, or if a negative size is timed."""
+        rc, out, err = run(capsys, "bench", *argv)
+        assert rc == 2 and out == ""
+        assert argv[0] in err and err.count("\n") == 1
+
+    def test_layer_refused_before_allocation(self, capsys, monkeypatch) -> None:
+        """A 40-vertex bench instance reaches every prefix set; with 16 MB
+        available a frontier layer is refused before it is built.  Fails if
+        bench times the full 2^n table, whose refusal names the table."""
+        monkeypatch.setattr(lineembed.solvers, "_available_bytes", lambda: 16 * 2**20)
+        rc, out, err = run(
+            capsys, "bench", "--min-n", "40", "--max-n", "40", "--per-size", "1"
+        )
+        assert rc == 4 and out == ""
+        assert re.search(r"subset DP layer \d+ needs about", err)
+        assert "Traceback" not in err
 
 
 class TestArgparseBehaviour:

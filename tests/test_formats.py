@@ -16,7 +16,6 @@ from lineembed.formats import (
     parse_assignment_cert,
     parse_cnf,
     parse_digraph,
-    parse_mapping,
     parse_model_cert,
     parse_ordering_cert,
     parse_partition_cert,
@@ -49,6 +48,7 @@ from lineembed.reductions import (
     setsplitting_to_adp,
 )
 
+from oracles import parse_mapping
 from test_core import random_signed_graph
 
 P3 = build_signed_graph(3, [(1, 2), (2, 3)], [(1, 3)])

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import pytest
 
-from lineembed.bench import BenchReport, run_bench
-from lineembed.core import is_complete, verify_embedding
+from lineembed.bench import BenchReport, bench_instance, run_bench
+from lineembed.core import Graph, is_complete, verify_embedding
 from lineembed.errors import GraphError, ReductionError
 from lineembed.formats import serialize_cnf, serialize_signed_graph
 from lineembed.generators import (
@@ -17,6 +18,7 @@ from lineembed.generators import (
 )
 from lineembed.intervals import solve_complete
 from lineembed.reductions import build_cnf
+from lineembed.solvers import _components, _frontier_layers, _local_masks
 
 # SHA-256 of serialize_signed_graph(gen_planted_complete(n, spread, seed)) by
 # (n, spread), one per seed from 0, recorded from the generator that built
@@ -238,7 +240,7 @@ class TestRandomCnf:
 
 class TestBench:
     def test_report_shapes_and_ratios(self) -> None:
-        report = run_bench(sizes=(6, 7), per_size=2, seed=1)
+        report = run_bench(sizes=(6, 7), per_size=2)
         assert report.sizes == (6, 7)
         assert all(len(times) == 2 for times in report.per_size_seconds)
         medians = report.median_seconds()
@@ -246,8 +248,22 @@ class TestBench:
         assert len(report.doubling_ratios()) == 1
         assert report.ratio_median() == report.doubling_ratios()[0]
 
+    def test_instances_reach_every_prefix_set(self) -> None:
+        """Bench instances are connected and have no witness, so the frontier
+        holds all C(n, k) sets at layer k: every prefix set is reachable."""
+        for n in range(1, 13):
+            g = bench_instance(n)
+            verts = range(1, n + 1)
+            pos = _local_masks(verts, Graph(n, g.pos).adj)
+            neg = _local_masks(verts, Graph(n, g.neg).adj)
+            assert _components(n, Graph(n, g.pos | g.neg).adj) == [list(verts)]
+            assert not any(p and q for p, q in zip(pos, neg))
+            layers = _frontier_layers(pos, neg, [], 2**40)
+            sizes = [len(sets) for sets, _ in layers]
+            assert sizes == [math.comb(n, k) for k in range(n + 1)]
+
     def test_non_consecutive_sizes_have_no_ratios(self) -> None:
-        report = run_bench(sizes=(6, 8), per_size=1, seed=1)
+        report = run_bench(sizes=(6, 8), per_size=1)
         assert report.doubling_ratios() == ()
         with pytest.raises(ValueError):
             report.ratio_median()

@@ -29,7 +29,6 @@ from lineembed.core import (
 )
 from lineembed.errors import GraphError, ParseError, ReductionError
 from lineembed.formats import (
-    parse_mapping,
     parse_signed_graph,
     read_mapping,
     serialize_mapping,
@@ -44,12 +43,14 @@ from lineembed.reductions import (
     sat_to_setsplitting,
     setsplitting_to_adp,
 )
-from lineembed.solvers import reachability_table, solve_subset_dp
+from lineembed.solvers import solve_subset_dp
 
 from oracles import (
     build_digraph_by_arcs,
     build_signed_graph_by_pairs,
+    parse_mapping,
     parse_signed_graph_by_lines,
+    reachability_table,
     read_mapping_by_lines,
     table_ordering,
 )
