@@ -212,6 +212,12 @@ class Ordering:
         return iter(self.seq)
 
 
+def _check_covers(ordering: Ordering, n: int) -> None:
+    """Raise OrderingError unless the ordering has n vertices."""
+    if len(ordering) != n:
+        raise OrderingError(f"ordering covers {len(ordering)} vertices, graph has {n}")
+
+
 @dataclass(frozen=True)
 class Violation:
     """Witness triple: u1 <pi u2 <pi u on side 'left' (mirrored on 'right'),
@@ -251,10 +257,7 @@ def verify_embedding(g: SignedGraph, ordering: Ordering) -> VerificationResult:
     neg_array: the per-vertex extremes are order-free reductions, and the
     witness is searched in the sorted adjacency lists.
     """
-    if len(ordering) != g.n:
-        raise OrderingError(
-            f"ordering covers {len(ordering)} vertices, graph has {g.n}"
-        )
+    _check_covers(ordering, g.n)
     n = g.n
     if n == 0:
         return VALID

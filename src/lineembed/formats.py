@@ -121,6 +121,22 @@ def instance_kind(text: str, source: Optional[str] = None) -> str:
     return tokens[1]
 
 
+def _instance(text: str, source: Optional[str], kind: str, noun: str, item, build):
+    """Read a `p <kind> <size> <count>` instance: item(no, tokens) reads each
+    content line after the header and returns what it adds, or None; the
+    count of those is checked against the header, then build(size, items)
+    runs with its errors reported at the header line."""
+    lines = _content_lines(text)
+    hdr_no, (size, count) = _header(lines, kind, 2, source)
+    items = [x for no, tokens in lines if (x := item(no, tokens)) is not None]
+    if len(items) != count:
+        raise ParseError(
+            f"header declares {count} {noun}, found {len(items)}", source, hdr_no
+        )
+    with _as_parse_error(source, hdr_no):
+        return build(size, items)
+
+
 # ---------------------------------------------------------------------------
 # Signed graphs
 # ---------------------------------------------------------------------------
@@ -260,24 +276,15 @@ def serialize_cnf(cnf: CnfFormula) -> str:
 
 
 def parse_cnf(text: str, source: Optional[str] = None) -> CnfFormula:
-    lines = _content_lines(text)
-    hdr_no, (num_vars, num_clauses) = _header(lines, "cnf", 2, source)
-    clauses: list[tuple[int, ...]] = []
-    for no, tokens in lines:
+    def clause(no: int, tokens: list[str]) -> tuple[int, ...]:
         lits = [_int(t, source, no) for t in tokens]
         if not lits or lits[-1] != 0:
             raise ParseError("clause line must end with 0", source, no)
         if 0 in lits[:-1]:
             raise ParseError("literal 0 inside a clause", source, no)
-        clauses.append(tuple(lits[:-1]))
-    if len(clauses) != num_clauses:
-        raise ParseError(
-            f"header declares {num_clauses} clauses, found {len(clauses)}",
-            source,
-            hdr_no,
-        )
-    with _as_parse_error(source, hdr_no):
-        return build_cnf(num_vars, clauses)
+        return tuple(lits[:-1])
+
+    return _instance(text, source, "cnf", "clauses", clause, build_cnf)
 
 
 # ---------------------------------------------------------------------------
@@ -297,37 +304,32 @@ def serialize_set_system(sys: SetSystem) -> str:
 
 
 def parse_set_system(text: str, source: Optional[str] = None) -> SetSystem:
-    lines = _content_lines(text)
-    hdr_no, (universe, num_sets) = _header(lines, "ss", 2, source)
-    special: Optional[int] = None
-    sets: list[tuple[int, ...]] = []
-    for no, tokens in lines:
+    special: list[int] = []
+
+    def line(no: int, tokens: list[str]) -> Optional[tuple[int, ...]]:
         if tokens[0] == "x":
             if len(tokens) != 3 or tokens[1] != "special":
                 raise ParseError("expected 'x special <element>'", source, no)
-            if special is not None:
+            if special:
                 raise ParseError("duplicate 'x special' line", source, no)
-            special = _int(tokens[2], source, no)
-        elif tokens[0] == "s":
-            if len(tokens) < 2:
-                raise ParseError("expected 's <size> <elements...>'", source, no)
-            size = _int(tokens[1], source, no)
-            members = tuple(_int(t, source, no) for t in tokens[2:])
-            if len(members) != size:
-                raise ParseError(
-                    f"set declares {size} elements, lists {len(members)}",
-                    source,
-                    no,
-                )
-            sets.append(members)
-        else:
+            special.append(_int(tokens[2], source, no))
+            return None
+        if tokens[0] != "s":
             raise ParseError(f"unexpected line kind {tokens[0]!r}", source, no)
-    if len(sets) != num_sets:
-        raise ParseError(
-            f"header declares {num_sets} sets, found {len(sets)}", source, hdr_no
-        )
-    with _as_parse_error(source, hdr_no):
-        return build_set_system(universe, sets, special=special)
+        if len(tokens) < 2:
+            raise ParseError("expected 's <size> <elements...>'", source, no)
+        size = _int(tokens[1], source, no)
+        members = tuple(_int(t, source, no) for t in tokens[2:])
+        if len(members) != size:
+            raise ParseError(
+                f"set declares {size} elements, lists {len(members)}", source, no
+            )
+        return members
+
+    def build(universe: int, sets: list[tuple[int, ...]]) -> SetSystem:
+        return build_set_system(universe, sets, special=special[0] if special else None)
+
+    return _instance(text, source, "ss", "sets", line, build)
 
 
 # ---------------------------------------------------------------------------
@@ -342,19 +344,12 @@ def serialize_digraph(digraph: Digraph) -> str:
 
 
 def parse_digraph(text: str, source: Optional[str] = None) -> Digraph:
-    lines = _content_lines(text)
-    hdr_no, (n, m) = _header(lines, "dg", 2, source)
-    arcs: list[tuple[int, int]] = []
-    for no, tokens in lines:
+    def arc(no: int, tokens: list[str]) -> tuple[int, int]:
         if tokens[0] != "a" or len(tokens) != 3:
             raise ParseError("expected 'a <from> <to>'", source, no)
-        arcs.append((_int(tokens[1], source, no), _int(tokens[2], source, no)))
-    if len(arcs) != m:
-        raise ParseError(
-            f"header declares {m} arcs, found {len(arcs)}", source, hdr_no
-        )
-    with _as_parse_error(source, hdr_no):
-        return build_digraph(n, arcs)
+        return _int(tokens[1], source, no), _int(tokens[2], source, no)
+
+    return _instance(text, source, "dg", "arcs", arc, build_digraph)
 
 
 # ---------------------------------------------------------------------------

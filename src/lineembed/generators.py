@@ -20,7 +20,7 @@ def gen_random_signed_graph(
 ) -> SignedGraph:
     """Each unordered pair independently becomes positive with probability
     p_pos, negative with p_neg, or stays a non-edge."""
-    if p_pos < 0 or p_neg < 0 or p_pos + p_neg > 1:
+    if not (p_pos >= 0 and p_neg >= 0 and p_pos + p_neg <= 1):
         raise GraphError(
             f"need p_pos, p_neg >= 0 with p_pos + p_neg <= 1, "
             f"got {p_pos} and {p_neg}"
@@ -51,7 +51,7 @@ def gen_planted_complete(
     """
     if spread is None:
         spread = max(n / 4.0, 1.0)
-    if spread <= 0:
+    if not spread > 0:
         raise GraphError(f"spread must be positive, got {spread}")
     rng = random.Random(seed)
     centers = sorted(rng.random() * spread for _ in range(n))

@@ -18,6 +18,7 @@ from .core import (
     Graph,
     Ordering,
     SignedGraph,
+    _check_covers,
     is_complete,
     positive_part,
     verify_embedding,
@@ -26,7 +27,6 @@ from .errors import (
     InfeasibleOrderingError,
     ModelError,
     NotCompleteError,
-    OrderingError,
 )
 
 Interval = tuple[Fraction, Fraction]
@@ -35,10 +35,7 @@ Interval = tuple[Fraction, Fraction]
 def neighborhood_extremes(gp: Graph, ordering: Ordering) -> dict[int, int]:
     """last[v]: the latest vertex of N[v] (closed neighbourhood) under the
     given ordering."""
-    if len(ordering) != gp.n:
-        raise OrderingError(
-            f"ordering covers {len(ordering)} vertices, graph has {gp.n}"
-        )
+    _check_covers(ordering, gp.n)
     pos = ordering.position
     return {
         v: max(gp.adj[v] + (v,), key=pos.__getitem__) for v in range(1, gp.n + 1)
@@ -104,18 +101,14 @@ def ordering_to_model(g: SignedGraph, ordering: Ordering) -> IntervalModel:
     NotCompleteError on an incomplete graph and InfeasibleOrderingError,
     carrying the first violation, on an infeasible ordering.
     """
-    if not is_complete(g):
-        raise NotCompleteError(
-            f"graph has {g.m_pos + g.m_neg} signed pairs, "
-            f"needs {g.n * (g.n - 1) // 2}"
-        )
+    gp = _complete_positive_part(g)
     res = verify_embedding(g, ordering)
     if not res.valid:
         raise InfeasibleOrderingError(
             f"ordering is not a feasible embedding: {res.violation}",
             res.violation,
         )
-    last = neighborhood_extremes(positive_part(g), ordering)
+    last = neighborhood_extremes(gp, ordering)
     pos = ordering.position
     den = g.n + 1
     intervals = {
@@ -126,6 +119,16 @@ def ordering_to_model(g: SignedGraph, ordering: Ordering) -> IntervalModel:
         for v in range(1, g.n + 1)
     }
     return IntervalModel(intervals)
+
+
+def _complete_positive_part(g: SignedGraph) -> Graph:
+    """positive_part(g), or NotCompleteError when some pair carries no sign."""
+    if not is_complete(g):
+        raise NotCompleteError(
+            f"graph has {g.m_pos + g.m_neg} signed pairs, "
+            f"needs {g.n * (g.n - 1) // 2}"
+        )
+    return positive_part(g)
 
 
 def model_to_ordering(model: IntervalModel) -> Ordering:
@@ -142,61 +145,42 @@ def model_to_ordering(model: IntervalModel) -> Ordering:
 
 
 def _lbfs(adj: tuple[tuple[int, ...], ...], n: int, prior: list[int]) -> list[int]:
-    """One lexicographic BFS sweep.
+    """One lexicographic BFS sweep, by partition refinement on one array
+    (Habib, McConnell, Paul and Viennot, "Lex-BFS and partition refinement").
 
-    Ties are broken toward the vertex with the largest `prior` value, so
-    passing ranks from a previous sweep yields the classic plus-variant.
-    Cells are kept as sets in a linked list; the pivot always comes from the
-    head cell.
+    order[i] is the vertex at position i, at[v] the position of v and
+    cell[v] its cell.  The unvisited positions form consecutive cells, cell
+    c spanning [start[c], end[c]).  Visiting v swaps each unvisited
+    neighbour to the front of what is left of its cell, where it joins a
+    new cell just ahead of that remainder.  The next pivot is the vertex of
+    the first cell with the largest `prior` value, so passing ranks from a
+    previous sweep yields the classic plus-variant.
     """
-    if n == 0:
-        return []
-    cells: dict[int, set[int]] = {0: set(range(1, n + 1))}
-    nxt: dict[int, int | None] = {0: None}
-    prv: dict[int, int | None] = {0: None}
-    cell_of: dict[int, int] = {v: 0 for v in range(1, n + 1)}
-    head: int | None = 0
-    fresh = 1
-    out: list[int] = []
-
-    while head is not None:
-        cell = cells[head]
-        v = max(cell, key=prior.__getitem__)
-        cell.remove(v)
-        del cell_of[v]
-        out.append(v)
-        if not cell:
-            head2 = nxt[head]
-            if head2 is not None:
-                prv[head2] = None
-            del cells[head], nxt[head], prv[head]
-            head = head2
-        # Split each cell holding unvisited neighbours of v: the neighbour
-        # part moves into a fresh cell directly in front.
-        buckets: dict[int, set[int]] = {}
+    order = list(range(1, n + 1))
+    at = [0, *range(n)]
+    cell = [0] * (n + 1)
+    start, end = [0], [n]
+    for i in range(n):
+        c = cell[order[i]]
+        v = max(order[i : end[c]], key=prior.__getitem__)
+        order[at[v]], at[order[i]] = order[i], at[v]
+        order[i], at[v] = v, i
+        start[c] = i + 1
+        split: dict[int, int] = {}  # cell -> its new front cell, for this v
         for w in adj[v]:
-            cid = cell_of.get(w)
-            if cid is not None:
-                buckets.setdefault(cid, set()).add(w)
-        for cid, moved in buckets.items():
-            old = cells[cid]
-            if len(moved) == len(old):
-                continue  # whole cell would move: order unchanged
-            old -= moved
-            new_id = fresh
-            fresh += 1
-            cells[new_id] = moved
-            for w in moved:
-                cell_of[w] = new_id
-            p = prv[cid]
-            prv[new_id] = p
-            nxt[new_id] = cid
-            prv[cid] = new_id
-            if p is None:
-                head = new_id
-            else:
-                nxt[p] = new_id
-    return out
+            p = at[w]
+            if p > i:
+                c = cell[w]
+                if c not in split:
+                    split[c] = len(start)
+                    start.append(start[c])
+                    end.append(start[c])
+                q = start[c]
+                order[p], at[order[q]] = order[q], p
+                order[q], at[w] = w, q
+                start[c] = end[split[c]] = q + 1
+                cell[w] = split[c]
+    return order
 
 
 def is_umbrella_ordering(gp: Graph, ordering: Ordering) -> bool:
@@ -206,10 +190,7 @@ def is_umbrella_ordering(gp: Graph, ordering: Ordering) -> bool:
     consecutive for every v iff every vertex between the endpoints of an
     edge is adjacent to both.
     """
-    if len(ordering) != gp.n:
-        raise OrderingError(
-            f"ordering covers {len(ordering)} vertices, graph has {gp.n}"
-        )
+    _check_covers(ordering, gp.n)
     pos = ordering.position
     for v in range(1, gp.n + 1):
         ranks = [pos[w] for w in gp.adj[v]]
@@ -228,10 +209,7 @@ def recognize_proper_interval(gp: Graph) -> Ordering | None:
     is_umbrella_ordering before being returned.  Components come out
     consecutively, each umbrella-ordered.
     """
-    n = gp.n
-    if n == 0:
-        return Ordering(())
-    adj = gp.adj
+    n, adj = gp.n, gp.adj
     prior = list(range(n + 1))  # first sweep: ties toward larger id
     order = _lbfs(adj, n, prior)
     for _ in range(2):
@@ -239,9 +217,7 @@ def recognize_proper_interval(gp: Graph) -> Ordering | None:
             prior[v] = i
         order = _lbfs(adj, n, prior)
     candidate = Ordering.from_seq(order)
-    if not is_umbrella_ordering(gp, candidate):
-        return None
-    return candidate
+    return candidate if is_umbrella_ordering(gp, candidate) else None
 
 
 def solve_complete(g: SignedGraph) -> Ordering | None:
@@ -252,9 +228,4 @@ def solve_complete(g: SignedGraph) -> Ordering | None:
     pair carries no sign.  The returned ordering is not re-verified here;
     callers that print it check it first.
     """
-    if not is_complete(g):
-        raise NotCompleteError(
-            f"graph has {g.m_pos + g.m_neg} signed pairs, "
-            f"needs {g.n * (g.n - 1) // 2}"
-        )
-    return recognize_proper_interval(positive_part(g))
+    return recognize_proper_interval(_complete_positive_part(g))

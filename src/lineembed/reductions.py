@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .core import Ordering, SignedGraph, _build_from_arrays, _pair_array
-from .errors import ReductionError, SelfLoopError
+from .errors import CapExceededError, ReductionError, SelfLoopError
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +446,8 @@ def adp_to_lce(digraph: Digraph) -> tuple[SignedGraph, AdpToLceMapping]:
     A self-loop cannot be encoded (its checker would need both signs toward
     the same alignment vertex) and raises SelfLoopError; such digraphs have
     no acyclic partition anyway.  |V'| = |V| + |A| + 1, |E+| = 2|A|,
-    |E-| = |A| + |V|.
+    |E-| = |A| + |V|; a gadget of 2^31 or more vertices raises
+    CapExceededError before any array is built.
     """
     for a, b in digraph.arcs:
         if a == b:
@@ -455,6 +456,10 @@ def adp_to_lce(digraph: Digraph) -> tuple[SignedGraph, AdpToLceMapping]:
             )
     mapping = AdpToLceMapping(digraph_n=digraph.n, arcs=digraph.arcs)
     m = len(digraph.arcs)
+    if 1 + m + digraph.n >= 2**31:
+        raise CapExceededError(
+            f"the gadget would have {1 + m + digraph.n} vertices, over 2^31 - 1"
+        )
     # Per arc, rows (s, c) and (c, align a) positive and (c, align b)
     # negative, then (s, align v) per vertex: each with u < v, as s = 1 <
     # checker 2 + idx < alignment 1 + m + v.

@@ -189,6 +189,23 @@ def partition_exists_brute(n, arcs):
     return False
 
 
+def lbfs_by_labels(adj, n, prior):
+    """Lexicographic BFS from its definition: the t-th visited vertex (from
+    1) appends n - t to the label of each unvisited neighbour, and each step
+    visits the unvisited vertex with the lexicographically largest label,
+    ties toward the largest prior."""
+    label = {v: [] for v in range(1, n + 1)}
+    out = []
+    while label:
+        v = max(label, key=lambda w: (label[w], prior[w]))
+        del label[v]
+        out.append(v)
+        for w in adj[v]:
+            if w in label:
+                label[w].append(n - len(out))
+    return out
+
+
 def exact_interval(rank_v, rank_far, n):
     """Expected interval for rank pi(v) with rightmost positive-closed
     neighbour rank pi(v->): [pi(v), pi(v->) + pi(v)/(n+1)], exact."""

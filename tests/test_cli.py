@@ -337,6 +337,17 @@ class TestReduce:
         rc, _, err = run(capsys, "reduce", "sat2ss", inst)
         assert rc == 2 and "cnf" in err
 
+    @pytest.mark.parametrize("n", ["99999999999999999999", "2147483647"])
+    def test_gadget_of_2_31_vertices_refused(self, tmp_path, n) -> None:
+        """1 + A + V vertices of 2^31 or more cannot be keyed: exit 4 before
+        any array is built.  Fails if numpy is asked for the vertex range,
+        which raises ValueError on the first and needs 16 GB on the second."""
+        inst = write(tmp_path, "big.dg", f"p dg {n} 0\n")
+        proc = run_under_limit(AS_LIMIT, "reduce", "adp2lce", inst)
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert f"{int(n) + 1} vertices" in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
 
 class TestLift:
     def test_adp_chain(self, tmp_path, capsys) -> None:
@@ -714,6 +725,22 @@ class TestGen:
             "--p-neg", "0.9", "--seed", "0",
         )
         assert rc == 2 and "p_pos" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("random-sg", "--n", "4", "--p-pos", "nan"),
+            ("random-sg", "--n", "4", "--p-neg", "nan"),
+            ("planted-complete", "--n", "4", "--spread", "nan"),
+        ],
+        ids=["p-pos", "p-neg", "spread"],
+    )
+    def test_nan_parameters_refused(self, capsys, argv) -> None:
+        """Fails if a guard written as its negated condition, such as
+        `spread <= 0`, lets NaN through to write a graph."""
+        rc, out, err = run(capsys, "gen", *argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestBenchCommand:

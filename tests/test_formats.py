@@ -198,6 +198,48 @@ class TestDigraphFormat:
             parse_digraph("p dg 2 2\na 1 2\n")
 
 
+# Malformed `p cnf`, `p ss` and `p dg` texts, each with the line and the
+# message of its ParseError: bad counts, bad line rules, a line error that
+# comes before the count check, and build errors reported at the header.
+MALFORMED_INSTANCES = [
+    (parse_cnf, "p cnf 2 2\n1 0\n", 1, "header declares 2 clauses, found 1"),
+    (parse_cnf, "c x\np cnf 2 1\n1 2\n", 3, "clause line must end with 0"),
+    (parse_cnf, "p cnf 2 1\n1 0 2 0\n", 2, "literal 0 inside a clause"),
+    (parse_cnf, "p cnf 2 1\n1 y 0\n", 2, "expected an integer, got 'y'"),
+    (parse_cnf, "p cnf 2\n", 1, "'p cnf' header wants 2 fields, got 1"),
+    (parse_cnf, "p cnf 2 3\n1 2\n", 2, "clause line must end with 0"),
+    (parse_cnf, "c x\n\np cnf 2 1\n3 0\n", 3, "clause 1 has bad literal 3"),
+    (parse_set_system, "p ss 3 0\nx special 1\nx special 2\n", 3,
+     "duplicate 'x special' line"),
+    (parse_set_system, "p ss 3 1\ns 3 1 2\n", 2, "set declares 3 elements, lists 2"),
+    (parse_set_system, "p ss 3 1\ns\n", 2, "expected 's <size> <elements...>'"),
+    (parse_set_system, "p ss 3 1\ns two 1 2\n", 2, "expected an integer, got 'two'"),
+    (parse_set_system, "p ss 3 0\nx spec 1\n", 2, "expected 'x special <element>'"),
+    (parse_set_system, "p ss 3 1\nt 1\n", 2, "unexpected line kind 't'"),
+    (parse_set_system, "p ss 3 2\ns 1 1\n", 1, "header declares 2 sets, found 1"),
+    (parse_set_system, "c x\np ss 3 1\nx special 4\ns 1 1\n", 2,
+     "special element 4 out of range"),
+    (parse_set_system, "c x\np ss 3 1\ns 1 5\n", 2,
+     "set 1 element 5 out of range 1..3"),
+    (parse_digraph, "p dg 2 1\na 1\n", 2, "expected 'a <from> <to>'"),
+    (parse_digraph, "p dg 2 1\nb 1 2\n", 2, "expected 'a <from> <to>'"),
+    (parse_digraph, "p dg 2 1\na 1 z\n", 2, "expected an integer, got 'z'"),
+    (parse_digraph, "p dg 2 2\na 1 2\n", 1, "header declares 2 arcs, found 1"),
+    (parse_digraph, "p dg 2 5\na 1\n", 2, "expected 'a <from> <to>'"),
+    (parse_digraph, "c x\np dg 2 1\na 1 3\n", 2, "arc (1, 3) out of range 1..2"),
+    (parse_digraph, "c x\np dg 2 2\na 1 2\na 1 2\n", 2, "duplicate arc (1, 2)"),
+    (parse_digraph, "p ss 2 0\n", 1, "expected 'p dg' header"),
+]
+
+
+class TestInstanceErrors:
+    @pytest.mark.parametrize("parse, text, line, message", MALFORMED_INSTANCES)
+    def test_message_and_line(self, parse, text, line, message) -> None:
+        with pytest.raises(ParseError) as err:
+            parse(text, "in")
+        assert (err.value.line, str(err.value)) == (line, f"in:{line}: {message}")
+
+
 class TestOrderingCert:
     def test_golden(self) -> None:
         assert serialize_ordering_cert(Ordering.from_seq([4, 2, 1, 3, 5])) == (

@@ -22,6 +22,7 @@ from lineembed.errors import (
 )
 from lineembed.intervals import (
     IntervalModel,
+    _lbfs,
     is_umbrella_ordering,
     model_intersection_graph,
     model_to_ordering,
@@ -36,6 +37,7 @@ from lineembed.generators import gen_planted_complete
 from oracles import (
     feasible_orderings_brute,
     has_umbrella_ordering_brute,
+    lbfs_by_labels,
     model_intersection_edges,
     umbrella_ok_direct,
 )
@@ -193,6 +195,29 @@ class TestUmbrellaCheck:
             assert is_umbrella_ordering(gp, Ordering.from_seq(seq)) == (
                 umbrella_ok_direct(n, edges, tuple(seq))
             )
+
+
+class TestLbfs:
+    def test_matches_label_definition(self) -> None:
+        # Random graphs of every density with shuffled priors, then one
+        # planted n=300 proper interval graph with priors from a first sweep.
+        rng = random.Random(1414)
+        cases = []
+        for _ in range(3000):
+            n = rng.randint(0, 16)
+            p = rng.random()
+            pairs = itertools.combinations(range(1, n + 1), 2)
+            edges = [e for e in pairs if rng.random() < p]
+            prior = list(range(n + 1))
+            rng.shuffle(prior)
+            cases.append((plain_graph(n, edges), prior))
+        planted = plain_graph(300, planted_unit_interval_graph(rng, 300, spread=60.0))
+        prior = [0] * 301
+        for i, v in enumerate(_lbfs(planted.adj, 300, list(range(301)))):
+            prior[v] = i
+        cases.append((planted, prior))
+        for gp, prior in cases:
+            assert _lbfs(gp.adj, gp.n, prior) == lbfs_by_labels(gp.adj, gp.n, prior)
 
 
 class TestRecognition:

@@ -3,9 +3,10 @@ text format round trip, the signed-graph parser against the per-line
 reference parser, the array constructor against build_signed_graph and
 both graph forms' text, build_signed_graph against its per-pair copy on
 pairs of every form, the digraph constructor against its per-arc
-reference, the frontier subset DP against the full table, and the mapping
+reference, the frontier subset DP against the full table, the mapping
 text format of every reduction stage and of the chain, read against the
-per-line reference reader.
+per-line reference reader, and the text round trip of every other instance
+and certificate kind.
 
 Examples are derandomized and nothing is stored between runs, so every run
 checks the same graphs.
@@ -29,15 +30,35 @@ from lineembed.core import (
 )
 from lineembed.errors import GraphError, ParseError, ReductionError
 from lineembed.formats import (
+    parse_assignment_cert,
+    parse_cnf,
+    parse_digraph,
+    parse_model_cert,
+    parse_ordering_cert,
+    parse_partition_cert,
+    parse_set_system,
     parse_signed_graph,
+    parse_splitter_cert,
     read_mapping,
+    serialize_assignment_cert,
+    serialize_cnf,
+    serialize_digraph,
     serialize_mapping,
+    serialize_model_cert,
+    serialize_ordering_cert,
+    serialize_partition_cert,
+    serialize_set_system,
     serialize_signed_graph,
+    serialize_splitter_cert,
 )
+from lineembed.intervals import IntervalModel
 from lineembed.reductions import (
+    Assignment,
+    SplitterSolution,
     adp_to_lce,
     build_cnf,
     build_digraph,
+    build_partition,
     build_set_system,
     sat_to_lce,
     sat_to_setsplitting,
@@ -429,6 +450,74 @@ def test_mapping_with_one_token_changed(mapping, data) -> None:
     except ParseError:
         return
     assert serialize_mapping(parsed) == text
+
+
+@st.composite
+def specials(draw):
+    """A set system that marks a special element when it has one to mark."""
+    sys = draw(set_systems())
+    if not sys.universe_size or draw(st.booleans()):
+        return sys
+    special = draw(st.integers(1, sys.universe_size))
+    return build_set_system(sys.universe_size, sys.sets, special=special)
+
+
+@st.composite
+def digraphs(draw):
+    """Digraphs with self-loops allowed."""
+    n = draw(st.integers(0, 4))
+    arcs = st.tuples(st.integers(1, max(n, 1)), st.integers(1, max(n, 1)))
+    return build_digraph(n, draw(st.lists(arcs, max_size=6 if n else 0, unique=True)))
+
+
+@st.composite
+def interval_models(draw):
+    """Proper models: 2n distinct endpoints read in order, each a new left
+    end or the right end of the earliest interval still open."""
+    n = draw(st.integers(0, 6))
+    ends = st.fractions(-4, 4, max_denominator=9)
+    lefts, rights = [], []
+    for x in sorted(draw(st.lists(ends, min_size=2 * n, max_size=2 * n, unique=True))):
+        opens = len(lefts) < n and (len(lefts) == len(rights) or draw(st.booleans()))
+        (lefts if opens else rights).append(x)
+    labels = draw(st.permutations(range(1, n + 1)))
+    return IntervalModel(dict(zip(labels, zip(lefts, rights))))
+
+
+@st.composite
+def partitions(draw):
+    n = draw(st.integers(0, 8))
+    return build_partition(n, draw(st.sets(st.integers(1, max(n, 1)), max_size=n)))
+
+
+ORDERINGS = st.integers(0, 8).flatmap(lambda n: st.permutations(range(1, n + 1)))
+# (value, serializer, parser) for every instance kind but `p sg`, which has
+# its own round trip above, and for every certificate kind.
+TEXT_FORMS = st.one_of(
+    cnfs().map(lambda x: (x, serialize_cnf, parse_cnf)),
+    specials().map(lambda x: (x, serialize_set_system, parse_set_system)),
+    digraphs().map(lambda x: (x, serialize_digraph, parse_digraph)),
+    (st.none() | ORDERINGS.map(Ordering.from_seq)).map(
+        lambda x: (x, serialize_ordering_cert, parse_ordering_cert)
+    ),
+    interval_models().map(lambda x: (x, serialize_model_cert, parse_model_cert)),
+    partitions().map(lambda x: (x, serialize_partition_cert, parse_partition_cert)),
+    st.frozensets(st.integers(-3, 30)).map(
+        lambda x: (SplitterSolution(x), serialize_splitter_cert, parse_splitter_cert)
+    ),
+    st.lists(st.booleans(), max_size=8).map(
+        lambda x: (Assignment(tuple(x)), serialize_assignment_cert, parse_assignment_cert)
+    ),
+)
+
+
+@settings(DETERMINISTIC, max_examples=500)
+@given(TEXT_FORMS)
+def test_instance_and_certificate_text_round_trip(case) -> None:
+    value, serialize, parse = case
+    text = serialize(value)
+    assert parse(text) == value
+    assert serialize(parse(text)) == text
 
 
 Pair = namedtuple("Pair", "u v")
