@@ -71,10 +71,16 @@ class UsageError(LineEmbedError):
 
 
 def _read(path: str) -> tuple[str, str]:
+    """(text, path) of a UTF-8 file; ParseError at the line of the first
+    byte that does not decode (read_text decodes the file in one piece)."""
     try:
-        return Path(path).read_text(), path
+        return Path(path).read_text(encoding="utf-8"), path
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        head = exc.object[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        why = f"byte {exc.object[exc.start]:#04x} is not valid UTF-8"
+        raise ParseError(why, path, head.count(b"\n") + 1) from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -498,30 +504,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code of an error by its kind; any other LineEmbedError exits 2.
+_EXIT_CODES = ((ParseError, 3), (CapExceededError, 4), (InternalError, 5))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except InternalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except MemoryError:
-        # The subset DP predicts each layer's size before allocating it; this
-        # is the safety net for any other allocation that does not fit.
-        print(
-            "error: instance needs more memory than is available",
-            file=sys.stderr,
-        )
+        # The subset DP and the ADP gadget predict their size before
+        # allocating; this is the safety net for any other allocation.
+        print("error: instance needs more memory than is available", file=sys.stderr)
         return 4
     except LineEmbedError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), 2)
 
 
 if __name__ == "__main__":

@@ -143,21 +143,26 @@ def _build_from_arrays(n: int, pos: np.ndarray, neg: np.ndarray) -> SignedGraph:
     """build_signed_graph for (m, 2) endpoint arrays, rows in input order,
     stored as arrays.
 
-    Range and loops are tested by comparison; repeated pairs and pairs with
-    both signs by sorting the keys u*(n+1)+v of both signs together.  When a
-    test fails, or the arrays are not int64 (a number too large for one), or
-    n is too large for the keys, build_signed_graph runs on the same pairs
-    in the same order, so the outcome and any error text are its own.
+    Both signs' rows, as (min, max), fill one array whose two parts the
+    graph keeps.  Range and loops are tested by comparison; repeated pairs
+    and pairs with both signs by sorting the keys u*(n+1)+v of both signs
+    together.  When a test fails, or the arrays are not int64 (a number too
+    large for one), or n is too large for the keys, build_signed_graph runs
+    on the same pairs in the same order, so the outcome and any error text
+    are its own.
     """
     if 0 <= n < 2**31 and pos.dtype == neg.dtype == np.int64:
-        rows = [
-            np.column_stack((np.minimum(*a.T), np.maximum(*a.T))) for a in (pos, neg)
-        ]
-        lo, hi = np.concatenate(rows).T
-        if (lo >= 1).all() and (lo < hi).all() and (hi <= n).all():
-            keys = np.sort(lo * (n + 1) + hi)
+        rows = np.empty((len(pos) + len(neg), 2), np.int64)
+        lo, hi = rows.T
+        for a, at in ((pos, slice(len(pos))), (neg, slice(len(pos), None))):
+            np.minimum(a[:, 0], a[:, 1], out=lo[at])
+            np.maximum(a[:, 0], a[:, 1], out=hi[at])
+        if lo.min(initial=1) >= 1 and (lo < hi).all() and hi.max(initial=n) <= n:
+            keys = lo * (n + 1)
+            keys += hi
+            keys.sort()
             if not (keys[1:] == keys[:-1]).any():
-                return SignedGraph(n, *rows)
+                return SignedGraph(n, rows[: len(pos)], rows[len(pos) :])
     return build_signed_graph(n, pos.tolist(), neg.tolist())
 
 

@@ -164,52 +164,55 @@ def serialize_signed_graph(g: SignedGraph) -> str:
 _CANONICAL_DIGITS = 18
 
 
-def _decimal(data: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Values of the ASCII digit runs data[lo:hi], each 1 to 18 digits long."""
-    width = hi - lo
-    value = np.zeros(len(lo), np.int64)
-    for j in range(int(width.max(initial=0))):
-        more = width > j
-        value[more] = value[more] * 10 + (data[lo[more] + j] - ord("0"))
-    return value
+def _digits_before(data: np.ndarray, end: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Add to `value` the number spelled by the ASCII digits that end just
+    before each position in `end`, read backwards one digit place per step
+    at all positions at once, and return each run's length: up to 19, so 19
+    stands for any longer run.  Reads are clipped into data."""
+    length, run = np.zeros(len(end), np.int8), np.ones(len(end), bool)
+    term, at = np.empty(len(end), np.int64), end - 1
+    for place in range(_CANONICAL_DIGITS + 1):
+        digit = np.take(data, at, mode="clip") - np.uint8(ord("0"))
+        run &= digit < 10
+        if not run.any():
+            break
+        length += run
+        digit *= run
+        value += np.multiply(digit, np.int64(10**place), out=term)
+        at -= 1
+    return length
 
 
 def _canonical_edge_lines(data: np.ndarray) -> tuple[np.ndarray, ...]:
     """Split UTF-8 bytes into lines and find those spelled exactly
     `e <+|-> <digits> <digits>`, single spaces, 1-18 ASCII digits per number.
 
-    Returns (starts, ends, canon, plus, u, v): the byte span of every line
-    (end exclusive, the newline not included), the indices of the canonical
-    lines in order, and for each of those its sign and two endpoints.  Only
-    line ends and the positions of non-digit bytes are kept, so the memory
-    used grows with the number of lines, not bytes.
+    Returns (ends, canon, plus, edges): the position of every newline (line
+    i ends at ends[i]; what follows the last one is left to the caller), the
+    indices of the canonical lines, and for each its sign and endpoints.
+    The scan is anchored on line ends: v is the digit run that ends a line,
+    u the one that ends at the space before v and starts after the line's
+    first four bytes, `e + ` or `e - `.  Arrays hold an entry per line, not
+    per byte.
     """
-    nondigit = np.append(np.flatnonzero((data - ord("0")) > 9), len(data))
-    at_end = np.flatnonzero(np.append(data[nondigit[:-1]] == ord("\n"), True))
-    ends = nondigit[at_end]
-    starts = np.append(0, ends[:-1] + 1)
-    # A canonical line holds exactly five non-digit bytes: `e + ` and the
-    # space between the numbers.
-    canon = np.flatnonzero(np.diff(at_end, prepend=-1) == 6)
-    last = at_end[canon]
-    s, e, sep = starts[canon], ends[canon], nondigit[last - 1]
+    ends = np.flatnonzero(data == ord("\n"))
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    edges = np.zeros((len(ends), 2), np.int64)
+    v_len = _digits_before(data, ends, edges[:, 1])
+    sep = ends - 1 - v_len
+    u_len = _digits_before(data, sep, edges[:, 0])
+    e, space, sign, space2 = (np.take(data, starts + k, mode="clip") for k in range(4))
     ok = (
-        (nondigit[last - 5] == s)
-        & (nondigit[last - 2] == s + 3)
-        & (sep > s + 4)
-        & (sep <= s + 4 + _CANONICAL_DIGITS)
-        & (e > sep + 1)
-        & (e <= sep + 1 + _CANONICAL_DIGITS)
-        & (data[s] == ord("e"))
-        & (data[s + 1] == ord(" "))
-        & ((data[s + 2] == ord("+")) | (data[s + 2] == ord("-")))
-        & (data[s + 3] == ord(" "))
-        & (data[sep] == ord(" "))
+        (u_len == sep - starts - 4)
+        & (u_len >= 1) & (u_len <= _CANONICAL_DIGITS)
+        & (v_len >= 1) & (v_len <= _CANONICAL_DIGITS)
+        & (np.take(data, sep, mode="clip") == ord(" "))
+        & (e == ord("e")) & (space == ord(" ")) & (space2 == ord(" "))
+        & ((sign == ord("+")) | (sign == ord("-")))
     )
-    canon, s, e, sep = canon[ok], s[ok], e[ok], sep[ok]
-    plus = data[s + 2] == ord("+")
-    u, v = _decimal(data, s + 4, sep), _decimal(data, sep + 1, e)
-    return starts, ends, canon, plus, u, v
+    plus = np.compress(ok, sign) == ord("+")
+    return ends, np.flatnonzero(ok), plus, np.compress(ok, edges, axis=0)
 
 
 def _edge(tokens: list[str], source: Optional[str], no: int) -> tuple[str, int, int]:
@@ -225,35 +228,38 @@ def _edge(tokens: list[str], source: Optional[str], no: int) -> tuple[str, int, 
 def parse_signed_graph(text: str, source: Optional[str] = None) -> SignedGraph:
     """Parse a `p sg` instance.
 
-    Edge lines in canonical spelling are converted in one numpy pass; every
-    other line, and the first canonical one (which may stand where the
-    header belongs), goes through the per-line rules, so errors and their
-    line numbers do not depend on which path read a line.  The endpoints of
-    both paths are merged into arrays in line order and validated as
-    build_signed_graph would, with its error texts.
+    The header is the first content line.  The edge lines after it in
+    canonical spelling are converted in one numpy pass, every other line by
+    the per-line rules, so errors and their line numbers do not depend on
+    which path read a line.  Rows are put in line order, in which the first
+    bad pair is named, only when a per-line edge stands before a canonical
+    one.  The endpoints are validated as build_signed_graph would.
     """
     encoded = text.encode("utf-8", "surrogatepass")
-    data = np.frombuffer(encoded, np.uint8)
-    starts, ends, canon, plus, u, v = _canonical_edge_lines(data)
-    fast_no, plus, u, v = canon[1:] + 1, plus[1:], u[1:], v[1:]
-    fast = np.zeros(len(starts), bool)
-    fast[fast_no - 1] = True
-    slow_at = np.flatnonzero(~fast)
-    lines = _tokenized(
-        (i + 1, encoded[a:b].decode("utf-8", "surrogatepass"))
-        for i, a, b in zip(
-            slow_at.tolist(), starts[slow_at].tolist(), ends[slow_at].tolist()
-        )
-    )
+    ends, canon, plus, edges = _canonical_edge_lines(np.frombuffer(encoded, np.uint8))
+
+    def numbered(at: Iterable[int]) -> Iterator[tuple[int, str]]:
+        for i in at:
+            a = int(ends[i - 1]) + 1 if i else 0
+            b = int(ends[i]) if i < len(ends) else len(encoded)
+            yield i + 1, encoded[a:b].decode("utf-8", "surrogatepass")
+
+    lines = _tokenized(numbered(range(len(ends) + 1)))
     hdr_no, (n, m_pos, m_neg) = _header(lines, "sg", 3, source)
+    fast = np.searchsorted(canon, hdr_no)
+    canon, plus, edges = canon[fast:], plus[fast:], edges[fast:]
+    slow_at = np.ones(len(ends) + 1, bool)
+    slow_at[:hdr_no] = slow_at[canon] = False
+    lines = _tokenized(numbered(np.flatnonzero(slow_at).tolist()))
     slow = [(no, *_edge(tokens, source, no)) for no, tokens in lines]
-    slow_no = np.array([row[0] for row in slow], np.int64)
-    order = np.argsort(np.concatenate((fast_no, slow_no)), kind="stable")
-    slow_plus = np.array([row[1] == "+" for row in slow], bool)
-    plus = np.concatenate((plus, slow_plus))[order]
-    slow_pairs = _pair_array([row[2:] for row in slow])
-    edges = np.concatenate((np.column_stack((u, v)), slow_pairs))[order]
-    pos, neg = edges[plus], edges[~plus]
+    if slow:
+        plus = np.append(plus, [row[1] == "+" for row in slow])
+        edges = np.concatenate((edges, _pair_array([row[2:] for row in slow])))
+        slow_no = np.array([row[0] for row in slow])
+        if len(canon) and slow_no[0] <= canon[-1]:
+            order = np.argsort(np.append(canon + 1, slow_no), kind="stable")
+            plus, edges = plus[order], np.take(edges, order, axis=0)
+    pos, neg = (np.compress(keep, edges, axis=0) for keep in (plus, ~plus))
     if (len(pos), len(neg)) != (m_pos, m_neg):
         raise ParseError(
             f"header declares {m_pos}+/{m_neg}- edges, found {len(pos)}+/{len(neg)}-",

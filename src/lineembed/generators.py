@@ -6,6 +6,7 @@ so a given parameter set always produces the identical instance.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 from typing import Optional
@@ -51,8 +52,8 @@ def gen_planted_complete(
     """
     if spread is None:
         spread = max(n / 4.0, 1.0)
-    if not spread > 0:
-        raise GraphError(f"spread must be positive, got {spread}")
+    if not 0 < spread < math.inf:
+        raise GraphError(f"spread must be positive and finite, got {spread}")
     rng = random.Random(seed)
     centers = sorted(rng.random() * spread for _ in range(n))
     labels = list(range(1, n + 1))

@@ -10,6 +10,7 @@ solves complete instances through the recognition route.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -52,6 +53,22 @@ class IntervalModel:
     def n(self) -> int:
         return len(self.intervals)
 
+    @cached_property
+    def ranks(self) -> dict[int, tuple[int, int]]:
+        """Vertex -> the ranks of its endpoints among all 2n, equal ones
+        sharing a rank, so endpoints compare as their ranks do.  They are
+        sorted once, exactly: by integer part, then by the float of the
+        fractional part (correctly rounded, so it never reverses two
+        values), then on ties by the Fractions."""
+        ends = [x for pair in self.intervals.values() for x in pair]
+        keys = [(*divmod(x.numerator, x.denominator), x) for x in ends]
+        keys = [(whole, part / x.denominator, x) for whole, part, x in keys]
+        rank, r, last = [0] * len(keys), -1, None
+        for i in sorted(range(len(keys)), key=keys.__getitem__):
+            r += keys[i] != last
+            rank[i], last = r, keys[i]
+        return dict(zip(self.intervals, zip(rank[::2], rank[1::2])))
+
     def validate(self) -> None:
         """Raise ModelError unless the model is structurally sound:
         vertices are 1..n, interiors are nonempty, all 2n endpoints are
@@ -61,17 +78,16 @@ class IntervalModel:
 
     @cached_property
     def _sound(self) -> bool:
+        """The checks of validate(), on the endpoints' ranks."""
         n = self.n
         if sorted(self.intervals) != list(range(1, n + 1)):
             raise ModelError("interval keys are not exactly 1..n")
-        endpoints: list[Fraction] = []
-        for v, (lo, hi) in self.intervals.items():
+        for v, (lo, hi) in self.ranks.items():
             if not lo < hi:
                 raise ModelError(f"interval of vertex {v} has empty interior")
-            endpoints.extend((lo, hi))
-        if len(set(endpoints)) != 2 * n:
+        if len({r for pair in self.ranks.values() for r in pair}) != 2 * n:
             raise ModelError("interval endpoints are not pairwise distinct")
-        by_left = sorted(self.intervals.values())
+        by_left = sorted(self.ranks.values())
         for (_, r1), (_, r2) in zip(by_left, by_left[1:]):
             if r2 < r1:
                 raise ModelError("one interval properly contains another")
@@ -79,15 +95,15 @@ class IntervalModel:
 
 
 def model_intersection_graph(model: IntervalModel) -> Graph:
-    """Intersection graph of the closed intervals (sweep over left ends)."""
-    order = sorted(model.intervals, key=model.intervals.__getitem__)
+    """Intersection graph of the closed intervals: by left end, each
+    interval meets the later ones whose left end is not past its right end.
+    Runs on the endpoints' ranks."""
+    ranks = model.ranks
+    order = sorted(ranks, key=ranks.__getitem__)
+    lefts = [ranks[v][0] for v in order]
     edges = set()
     for i, u in enumerate(order):
-        _, ru = model.intervals[u]
-        for v in order[i + 1 :]:
-            lv, _ = model.intervals[v]
-            if lv > ru:
-                break
+        for v in order[i + 1 : bisect_right(lefts, ranks[u][1])]:
             edges.add((u, v) if u < v else (v, u))
     return Graph(model.n, frozenset(edges))
 
@@ -112,10 +128,7 @@ def ordering_to_model(g: SignedGraph, ordering: Ordering) -> IntervalModel:
     pos = ordering.position
     den = g.n + 1
     intervals = {
-        v: (
-            Fraction(pos[v]),
-            Fraction(pos[last[v]]) + Fraction(pos[v], den),
-        )
+        v: (Fraction(pos[v]), Fraction(pos[last[v]] * den + pos[v], den))
         for v in range(1, g.n + 1)
     }
     return IntervalModel(intervals)

@@ -109,6 +109,23 @@ def model_intersection_edges(intervals):
     return out
 
 
+
+def model_problem(intervals):
+    """The ModelError text IntervalModel.validate gives, from the definitions
+    on the Fractions themselves and in its order of checks, or None."""
+    n = len(intervals)
+    if sorted(intervals) != list(range(1, n + 1)):
+        return "interval keys are not exactly 1..n"
+    for v, (lo, hi) in intervals.items():
+        if not lo < hi:
+            return f"interval of vertex {v} has empty interior"
+    if len({x for pair in intervals.values() for x in pair}) != 2 * n:
+        return "interval endpoints are not pairwise distinct"
+    for a, b in itertools.permutations(intervals.values(), 2):
+        if a[0] < b[0] and b[1] < a[1]:
+            return "one interval properly contains another"
+    return None
+
 # --- CNF / set splitting / digraph partition ground truth ------------------
 
 

@@ -298,6 +298,37 @@ class TestVerify:
         assert rc == 2 and "does not apply" in err
 
 
+class TestUndecodableInput:
+    """A byte that is not UTF-8 is a parse error at its line, in any file
+    any command reads.  Each case fails if the decoder's traceback escapes."""
+
+    @pytest.mark.parametrize(
+        "argv, bad, line",
+        [
+            (("solve", "{bad}"), b"c one\np sg 2 1 0\n\xff e + 1 2\n", 3),
+            (("verify", "{bad}", "{cert}"), b"p sg 2 1 0\r\ne + 1 2 \xfe\r\n", 2),
+            (("verify", "{inst}", "{bad}"), b"o 1\n\xc3", 2),
+            (("reduce", "sat2ss", "{bad}"), b"p cnf 1 1\r\r1 0\xe9\n", 3),
+            (("lift", "{bad}", "{cert}"), b"p map adp2lce\nx digraph 1 0\n\x80", 3),
+            (("lift", "{map}", "{bad}"), b"\n\no 1\xff 2\n", 3),
+        ],
+        ids=["solve-instance", "verify-instance", "verify-certificate",
+             "reduce-instance", "lift-mapping", "lift-certificate"],
+    )
+    def test_exit_three_at_the_line(self, tmp_path, capsys, argv, bad, line) -> None:
+        (tmp_path / "bad").write_bytes(bad)
+        files = {
+            "bad": str(tmp_path / "bad"),
+            "inst": write(tmp_path, "p.sg", "p sg 2 1 0\ne + 1 2\n"),
+            "cert": write(tmp_path, "o.cert", "o 1 2\n"),
+            "map": write(tmp_path, "d.map", "p map adp2lce\nx digraph 1 0\nmap 1 s\nmap 2 align 1\n"),
+        }
+        rc, out, err = run(capsys, *(arg.format(**files) for arg in argv))
+        assert (rc, out) == (3, "")
+        assert err.startswith(f"error: {files['bad']}:{line}: byte 0x")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestReduce:
     def test_sat2ss_golden(self, tmp_path, capsys) -> None:
         inst = write(tmp_path, "f.cnf", XYZ_TEXT)
@@ -346,6 +377,19 @@ class TestReduce:
         proc = run_under_limit(AS_LIMIT, "reduce", "adp2lce", inst)
         assert proc.returncode == 4 and proc.stdout == ""
         assert f"{int(n) + 1} vertices" in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+    def test_gadget_arrays_refused_before_they_are_built(self, tmp_path) -> None:
+        """A gadget just under 2^31 vertices can be keyed, but its edge arrays
+        are predicted not to fit the memory limit: exit 4 naming the gadget
+        before numpy is asked for them.  Fails if the MemoryError safety net
+        is what stops it."""
+        inst = write(tmp_path, "big.dg", "p dg 2147483000 0\n")
+        proc = run_under_limit(AS_LIMIT, "reduce", "adp2lce", inst)
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert "gadget would have 2147483001 vertices" in proc.stderr
+        assert "MB available" in proc.stderr and "than is available" not in proc.stderr
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
@@ -741,6 +785,13 @@ class TestGen:
         rc, out, err = run(capsys, "gen", *argv)
         assert rc == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_infinite_spread_refused(self, capsys) -> None:
+        """Fails if the guard lets infinity through: every center is then
+        infinite and the graph all negative."""
+        rc, out, err = run(capsys, "gen", "planted-complete", "--n", "4", "--spread", "inf")
+        assert rc == 2 and out == ""
+        assert err == "error: spread must be positive and finite, got inf\n"
 
 
 class TestBenchCommand:

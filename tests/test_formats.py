@@ -48,8 +48,9 @@ from lineembed.reductions import (
     setsplitting_to_adp,
 )
 
-from oracles import parse_mapping
+from oracles import parse_mapping, parse_signed_graph_by_lines
 from test_core import random_signed_graph
+from test_properties import parse_outcome
 
 P3 = build_signed_graph(3, [(1, 2), (2, 3)], [(1, 3)])
 XYZ = build_cnf(3, [(1, 2, 3)])
@@ -103,6 +104,33 @@ class TestSignedGraphFormat:
         assert parse_signed_graph(text) == build_signed_graph(
             1000, [(5, 10), (999, 1000)], [(12, 7)]
         )
+
+    def test_per_line_repeat_in_the_middle_of_a_large_text(self) -> None:
+        # A tab-spelled line in the middle of a planted n=300 text repeats a
+        # later canonical line, and the last line repeats an earlier one:
+        # in line order the first repeat is the tab line's pair.  Fails if
+        # the rows are left canonical first, which meets the last line's
+        # pair first.
+        edges = serialize_signed_graph(gen_planted_complete(300, seed=5)).splitlines()[1:]
+        negative = [i for i, line in enumerate(edges) if line.startswith("e - ")]
+        mid, later, earlier = (negative[len(negative) * k // 4] for k in (2, 3, 1))
+        edges.insert(mid, edges[later].replace(" ", "\t"))
+        edges.append(edges[earlier])
+        m_pos = sum(line.startswith("e + ") for line in edges)
+        text = "\n".join([f"p sg 300 {m_pos} {len(edges) - m_pos}", *edges]) + "\n"
+        want = parse_outcome(parse_signed_graph_by_lines, text)
+        assert parse_outcome(parse_signed_graph, text) == want
+        assert want[1] == "in.sg:1: duplicate negative edge ({}, {})".format(
+            *edges[mid].split("\t")[2:]
+        )
+
+    def test_canonical_first_line_stands_where_the_header_belongs(self) -> None:
+        # Fails if the first canonical line is read as an edge before the
+        # header is found: the per-line reader then meets no content line.
+        text = serialize_signed_graph(gen_planted_complete(30, seed=2))
+        with pytest.raises(ParseError) as err:
+            parse_signed_graph(text.partition("\n")[2], source="bare.sg")
+        assert (err.value.line, str(err.value)) == (1, "bare.sg:1: expected 'p sg' header")
 
     def test_parse_memory_grows_with_lines(self) -> None:
         # Peak allocation while parsing a dense n=300 instance, against the

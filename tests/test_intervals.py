@@ -39,6 +39,7 @@ from oracles import (
     has_umbrella_ordering_brute,
     lbfs_by_labels,
     model_intersection_edges,
+    model_problem,
     umbrella_ok_direct,
 )
 from test_core import random_signed_graph
@@ -154,6 +155,35 @@ class TestModel:
             got = model_intersection_graph(model)
             assert got.edges == g.pos
             assert model_to_ordering(model).seq == o.seq
+
+    def test_rank_checks_match_fraction_checks(self) -> None:
+        # Endpoints share integer parts, repeat under other spellings, and
+        # three differ by less than a float can tell (1/3 and its two
+        # neighbours below 10**-20 away).  validate and the intersection
+        # graph run on ranks; both must agree with the Fraction comparisons.
+        # Fails if ranks are taken by left endpoint only, by integer part
+        # only, or without the exact tie-break.
+        rng = random.Random(15)
+        pool = [F(1, 3), F(10**20, 3 * 10**20 + 1), F(10**20 + 1, 3 * 10**20 + 2)]
+        pool += [F(k, d) for d in (1, 2, 7) for k in range(15)]
+        for _ in range(3000):
+            n = rng.randint(1, 6)
+            intervals = {v: tuple(sorted(rng.sample(pool, 2))) for v in range(1, n + 1)}
+            if rng.random() < 0.1:
+                v = rng.randint(1, n)
+                intervals[v] = intervals[v][::-1]
+            if rng.random() < 0.05:
+                intervals[n + 1] = intervals.pop(rng.randint(1, n))
+            model = IntervalModel(intervals)
+            try:
+                model.validate()
+                problem = None
+            except ModelError as exc:
+                problem = str(exc)
+            assert problem == model_problem(intervals), intervals
+            if all(lo <= hi for lo, hi in intervals.values()):
+                got = model_intersection_graph(model).edges
+                assert got == model_intersection_edges(intervals), intervals
 
     def test_validate_containment(self) -> None:
         bad = IntervalModel({1: (F(1), F(10)), 2: (F(2), F(3))})
