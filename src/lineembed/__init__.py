@@ -12,7 +12,6 @@ from .core import (
 )
 from .intervals import (
     IntervalModel,
-    model_to_ordering,
     ordering_to_model,
     recognize_proper_interval,
     solve_complete,
@@ -28,7 +27,6 @@ __all__ = [
     "Violation",
     "build_signed_graph",
     "is_complete",
-    "model_to_ordering",
     "ordering_to_model",
     "positive_part",
     "recognize_proper_interval",

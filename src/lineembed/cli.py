@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .bench import run_bench
-from .core import is_complete, positive_part, verify_embedding
+from .core import is_complete, positive_part
 from .errors import (
     CapExceededError,
     InfeasibleOrderingError,
@@ -52,7 +52,8 @@ from .generators import (
     gen_random_cnf,
     gen_random_signed_graph,
 )
-from .intervals import model_intersection_graph, ordering_to_model, solve_complete
+from .intervals import model_intersection_graph, ordering_to_model
+from .intervals import ordering_violation, solve_complete
 from .reductions import (
     adp_violation,
     falsified_clause,
@@ -70,17 +71,17 @@ class UsageError(LineEmbedError):
     """Semantically wrong invocation (wrong kinds, impossible request)."""
 
 
-def _read(path: str) -> tuple[str, str]:
-    """(text, path) of a UTF-8 file; ParseError at the line of the first
-    byte that does not decode (read_text decodes the file in one piece)."""
+def _read(path: str) -> tuple[bytes, str]:
+    """(bytes, path) of a file, line ends made `\\n` as text mode would.
+    The parsers decode the lines they read as text, and raise a ParseError
+    at the line of a byte that is not UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8"), path
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        head = exc.object[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        why = f"byte {exc.object[exc.start]:#04x} is not valid UTF-8"
-        raise ParseError(why, path, head.count(b"\n") + 1) from None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data, path
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -90,8 +91,8 @@ def _emit(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text)
 
 
-def _cert_kind(text: str, source: str) -> str:
-    first = next(_content_lines(text), None)
+def _cert_kind(data: bytes, source: str) -> str:
+    first = next(_content_lines(data, source), None)
     if first is None:
         raise ParseError("empty certificate", source)
     if first[1][0] not in _certs():
@@ -120,7 +121,7 @@ def _check_ordering(g, ordering, source) -> Optional[str]:
         raise ParseError(
             f"ordering lists {len(ordering)} vertices, instance has {g.n}", source
         )
-    vio = verify_embedding(g, ordering).violation
+    vio = ordering_violation(g, ordering)
     if vio is None:
         return None
     return (
@@ -252,8 +253,8 @@ def _emit_checked(kind: str, instance, cert, out: Optional[str]) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    text, source = _read(args.instance)
-    g = parse_signed_graph(text, source)
+    data, source = _read(args.instance)
+    g = parse_signed_graph(data, source)
     algo = args.algo
     if algo == "auto":
         algo = "complete" if is_complete(g) else "dp"
@@ -292,18 +293,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    inst_text, inst_source = _read(args.instance)
-    cert_text, cert_source = _read(args.cert)
-    kind = instance_kind(inst_text, inst_source)
-    cert = _cert_kind(cert_text, cert_source)
+    inst_data, inst_source = _read(args.instance)
+    cert_data, cert_source = _read(args.cert)
+    kind = instance_kind(inst_data, inst_source)
+    cert = _cert_kind(cert_data, cert_source)
     spec = _certs()[cert]
     if kind != spec.instance:
         raise UsageError(
             f"certificate kind {cert!r} does not apply to instance kind {kind!r}"
         )
     problem = spec.check(
-        spec.parse_instance(inst_text, inst_source),
-        spec.parse(cert_text, cert_source),
+        spec.parse_instance(inst_data, inst_source),
+        spec.parse(cert_data, cert_source),
         cert_source,
     )
     print("VALID" if problem is None else f"INVALID: {problem}")
@@ -316,8 +317,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    text, source = _read(args.instance)
-    kind = instance_kind(text, source)
+    data, source = _read(args.instance)
+    kind = instance_kind(data, source)
     stage = _stages()[args.stage]
     reads, writes = _certs()[stage.source], _certs()[stage.target]
     if kind != reads.instance:
@@ -325,7 +326,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             f"stage {args.stage} starts from a {reads.instance} instance, got {kind}"
         )
     reduce = stage_reductions()[args.stage]
-    out_obj, mapping = reduce(reads.parse_instance(text, source))
+    out_obj, mapping = reduce(reads.parse_instance(data, source))
     _emit(writes.serialize_instance(out_obj), args.out)
     if args.map is not None:
         _emit(serialize_mapping(mapping), args.map)
@@ -338,18 +339,18 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_lift(args: argparse.Namespace) -> int:
-    map_text, map_source = _read(args.mapping)
-    cert_text, cert_source = _read(args.cert)
-    stage, source_inst, reduced_inst, mapping = read_mapping(map_text, map_source)
+    map_data, map_source = _read(args.mapping)
+    cert_data, cert_source = _read(args.cert)
+    stage, source_inst, reduced_inst, mapping = read_mapping(map_data, map_source)
     row = _stages()[stage]
-    cert = _cert_kind(cert_text, cert_source)
+    cert = _cert_kind(cert_data, cert_source)
     if cert != row.target:
         raise UsageError(
             f"the {stage} mapping lifts {_certs()[row.target].name} "
             f"certificates ('{row.target}' lines), not '{cert}'"
         )
     spec = _certs()[cert]
-    reduced = spec.parse(cert_text, cert_source)
+    reduced = spec.parse(cert_data, cert_source)
     if reduced is None:
         raise UsageError("an infeasibility claim cannot be lifted")
     problem = spec.check(reduced_inst, reduced, cert_source)

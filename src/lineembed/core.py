@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -53,24 +53,30 @@ class Graph:
 class SignedGraph:
     """Signed graph: disjoint positive and negative edge sets on 1..n.
 
-    Each edge is held once as (u, v) with u < v, in the form the graph was
-    built from: frozensets `pos`/`neg` (build_signed_graph, which the
-    generators use) or (m, 2) int64 arrays `pos_array`/`neg_array` (the
-    parser and the ADP gadget, which hold the endpoints as arrays already).
-    The other form is a view, built on first read, so the complete route
-    never builds the negative set.  Equality and hashing compare n and the
-    edge sets, whichever form built them.  m_pos and m_neg are the edge
-    counts.  Construct through build_signed_graph, which validates ranges,
-    loops, duplicates and sign overlap.
+    Each edge is held once as (u, v) with u < v, in one of three forms:
+    frozensets `pos`/`neg` (build_signed_graph); (m, 2) int64 arrays
+    `pos_array`/`neg_array` (the parser and the ADP gadget); or, for a
+    complete graph, the frozenset `pos` alone, G- being its complement
+    (gen_planted_complete).  The other attributes are views built on first
+    read: the complement form's `neg` in pure Python, its `neg_array` with
+    numpy, rows ascending, with no per-pair tuple.  Equality and hashing
+    compare n and the edge sets, whichever form built them.  m_pos and m_neg
+    are the edge counts.  Construct through build_signed_graph, which
+    validates ranges, loops, duplicates and sign overlap, unless the pairs
+    are valid by construction.
     """
 
-    def __init__(self, n: int, pos, neg) -> None:
-        """pos and neg: both validated frozensets or both validated arrays."""
-        self.n, self.m_pos, self.m_neg = n, len(pos), len(neg)
+    def __init__(self, n: int, pos, neg=None) -> None:
+        """pos and neg: both validated frozensets or both validated arrays;
+        or pos a validated frozenset and neg None for the complement form."""
+        self.n, self.m_pos = n, len(pos)
+        self.m_neg = n * (n - 1) // 2 - len(pos) if neg is None else len(neg)
         if isinstance(pos, np.ndarray):
             self.pos_array, self.neg_array = pos, neg
         else:
-            self.pos, self.neg = pos, neg
+            self.pos = pos
+            if neg is not None:
+                self.neg = neg
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SignedGraph):
@@ -89,6 +95,8 @@ class SignedGraph:
 
     @cached_property
     def neg(self) -> frozenset[Edge]:
+        if "neg_array" not in vars(self):  # the complement form
+            return frozenset(combinations(range(1, self.n + 1), 2)).difference(self.pos)
         return frozenset(zip(*self.neg_array.T.tolist()))
 
     @cached_property
@@ -99,7 +107,18 @@ class SignedGraph:
 
     @cached_property
     def neg_array(self) -> np.ndarray:
+        if "neg" not in vars(self):  # the complement form
+            return _complement_pairs(self.n, self.pos_array)
         return np.fromiter(chain.from_iterable(self.neg), np.int64).reshape(-1, 2)
+
+
+def _complement_pairs(n: int, pairs: np.ndarray) -> np.ndarray:
+    """The pairs (u, v), 1 <= u < v <= n, not among the (m, 2) array's rows
+    (each with u < v), as an int64 array in ascending (u, v) order."""
+    keep = np.triu(np.ones((n + 1, n + 1), bool), 1)
+    keep[0] = False
+    keep[pairs[:, 0], pairs[:, 1]] = False
+    return np.argwhere(keep).astype(np.int64, copy=False)
 
 
 def build_signed_graph(
@@ -302,9 +321,13 @@ def verify_embedding(g: SignedGraph, ordering: Ordering) -> VerificationResult:
 def _first_violation(
     g: SignedGraph, rank: np.ndarray, u: int, side: str
 ) -> Violation:
-    """Smallest u2 then u1 (by vertex id) witnessing u's violation."""
+    """Smallest u2 then u1 (by vertex id) witnessing u's violation.  u's
+    neighbours are read off the edge arrays, so no edge set is built."""
     ru = rank[u]
-    pos_nbrs, neg_nbrs = Graph(g.n, g.pos).adj[u], Graph(g.n, g.neg).adj[u]
+    pos_nbrs, neg_nbrs = (
+        sorted(a[a[:, 0] == u, 1].tolist() + a[a[:, 1] == u, 0].tolist())
+        for a in (g.pos_array, g.neg_array)
+    )
     if side == "left":
         best_pos = min(rank[w] for w in pos_nbrs if rank[w] < ru)
         u2 = next(w for w in neg_nbrs if best_pos < rank[w] < ru)

@@ -5,8 +5,10 @@ lines are ignored.  Instance files open with a `p <kind> ...` header (kinds
 sg, cnf, ss, dg); certificate files are headerless.  Serializers emit a
 canonical form that parses back to an equal object.
 
-A mapping file is valid exactly when it is what `reduce --map` writes for
-the source instance it carries, so its numbering lives in `reductions` alone.
+The parsers take a str or UTF-8 bytes; a byte that is not UTF-8 is a
+ParseError at its line, raised when the parser reads it.  A mapping file
+is valid exactly when it is what `reduce --map` writes for the source
+instance it carries, so its numbering lives in `reductions` alone.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Iterable, Iterator, Optional, Union
 import numpy as np
 
 from .core import Ordering, SignedGraph, _build_from_arrays, _pair_array
+from .core import _complement_pairs, is_complete
 from .errors import LineEmbedError, ParseError
 from .intervals import IntervalModel
 from .reductions import (
@@ -41,6 +44,7 @@ from .reductions import (
 )
 
 AnyMapping = Union[SatToSsMapping, SsToAdpMapping, AdpToLceMapping, SatToLceMapping]
+Text = Union[str, bytes]  # bytes are UTF-8, decoded only where read as text
 
 
 def _tokenized(
@@ -55,15 +59,27 @@ def _tokenized(
         yield no, tokens
 
 
-def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+def _decoded(data: bytes, source: Optional[str], no: int, errors: str = "strict") -> str:
+    """data, whose first line is line no, as text; ParseError at the line
+    of the first byte that is not UTF-8."""
+    try:
+        return data.decode("utf-8", errors)
+    except UnicodeDecodeError as exc:
+        why = f"byte {data[exc.start]:#04x} is not valid UTF-8"
+        raise ParseError(why, source, no + data.count(b"\n", 0, exc.start)) from None
+
+
+def _content_lines(text: Text, source: Optional[str]) -> Iterator[tuple[int, list[str]]]:
     """(1-based line number, tokens) of each content line of text.  The text
-    is split at newlines about 4 KiB at a time, so a reader that stops early
-    leaves the rest of it unsplit."""
+    is split at newlines, and bytes decoded, about 4 KiB at a time, so a
+    reader that stops early leaves the rest of it unsplit."""
+    as_bytes = isinstance(text, bytes)
     no, start = 1, 0
     while start <= len(text):
-        end = text.find("\n", start + 4096)
+        end = text.find(b"\n" if as_bytes else "\n", start + 4096)
         end = len(text) if end < 0 else end
-        block = text[start:end].split("\n")
+        block = text[start:end]
+        block = (_decoded(block, source, no) if as_bytes else block).split("\n")
         yield from _tokenized(enumerate(block, start=no))
         no, start = no + len(block), end + 1
 
@@ -110,9 +126,9 @@ def _header(
     return no, [_int(t, source, no) for t in tokens[2:]]
 
 
-def instance_kind(text: str, source: Optional[str] = None) -> str:
+def instance_kind(text: Text, source: Optional[str] = None) -> str:
     """Kind tag from the first header line: sg, cnf, ss, dg or map."""
-    first = next(_content_lines(text), None)
+    first = next(_content_lines(text, source), None)
     if first is None:
         raise ParseError("empty input", source, None)
     no, tokens = first
@@ -121,12 +137,12 @@ def instance_kind(text: str, source: Optional[str] = None) -> str:
     return tokens[1]
 
 
-def _instance(text: str, source: Optional[str], kind: str, noun: str, item, build):
+def _instance(text: Text, source: Optional[str], kind: str, noun: str, item, build):
     """Read a `p <kind> <size> <count>` instance: item(no, tokens) reads each
     content line after the header and returns what it adds, or None; the
     count of those is checked against the header, then build(size, items)
     runs with its errors reported at the header line."""
-    lines = _content_lines(text)
+    lines = _content_lines(text, source)
     hdr_no, (size, count) = _header(lines, kind, 2, source)
     items = [x for no, tokens in lines if (x := item(no, tokens)) is not None]
     if len(items) != count:
@@ -146,10 +162,14 @@ def serialize_signed_graph(g: SignedGraph) -> str:
     """The header, then the `e +` and the `e -` lines, each sign's (u, v),
     u < v, ascending, whatever form the graph holds: edge sets by stable
     sorts keyed on v, then u; edge arrays by one lexsort, without building
-    the sets.  Each sign's lines are formatted in one operation."""
+    the sets.  A complete graph's `e -` lines walk the complement of its
+    positive pairs, so G- is neither built nor sorted.  Each sign's lines
+    are formatted in one operation."""
     out = [f"p sg {g.n} {g.m_pos} {g.m_neg}\n"]
     for sign, name in (("+", "pos"), ("-", "neg")):
-        if name in vars(g):
+        if sign == "-" and is_complete(g):
+            flat = tuple(_complement_pairs(g.n, g.pos_array).ravel().tolist())
+        elif name in vars(g):
             edges = sorted(vars(g)[name], key=itemgetter(1))
             flat = tuple(chain.from_iterable(sorted(edges, key=itemgetter(0))))
         else:
@@ -225,7 +245,7 @@ def _edge(tokens: list[str], source: Optional[str], no: int) -> tuple[str, int, 
     return sign, _int(tokens[2], source, no), _int(tokens[3], source, no)
 
 
-def parse_signed_graph(text: str, source: Optional[str] = None) -> SignedGraph:
+def parse_signed_graph(text: Text, source: Optional[str] = None) -> SignedGraph:
     """Parse a `p sg` instance.
 
     The header is the first content line.  The edge lines after it in
@@ -233,16 +253,19 @@ def parse_signed_graph(text: str, source: Optional[str] = None) -> SignedGraph:
     the per-line rules, so errors and their line numbers do not depend on
     which path read a line.  Rows are put in line order, in which the first
     bad pair is named, only when a per-line edge stands before a canonical
-    one.  The endpoints are validated as build_signed_graph would.
+    one.  The endpoints are validated as build_signed_graph would.  Bytes
+    are read as they are, a str encoded first.
     """
-    encoded = text.encode("utf-8", "surrogatepass")
+    as_bytes = isinstance(text, bytes)
+    encoded = text if as_bytes else text.encode("utf-8", "surrogatepass")
+    errors = "strict" if as_bytes else "surrogatepass"
     ends, canon, plus, edges = _canonical_edge_lines(np.frombuffer(encoded, np.uint8))
 
     def numbered(at: Iterable[int]) -> Iterator[tuple[int, str]]:
         for i in at:
             a = int(ends[i - 1]) + 1 if i else 0
             b = int(ends[i]) if i < len(ends) else len(encoded)
-            yield i + 1, encoded[a:b].decode("utf-8", "surrogatepass")
+            yield i + 1, _decoded(encoded[a:b], source, i + 1, errors)
 
     lines = _tokenized(numbered(range(len(ends) + 1)))
     hdr_no, (n, m_pos, m_neg) = _header(lines, "sg", 3, source)
@@ -281,7 +304,7 @@ def serialize_cnf(cnf: CnfFormula) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_cnf(text: str, source: Optional[str] = None) -> CnfFormula:
+def parse_cnf(text: Text, source: Optional[str] = None) -> CnfFormula:
     def clause(no: int, tokens: list[str]) -> tuple[int, ...]:
         lits = [_int(t, source, no) for t in tokens]
         if not lits or lits[-1] != 0:
@@ -309,7 +332,7 @@ def serialize_set_system(sys: SetSystem) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_set_system(text: str, source: Optional[str] = None) -> SetSystem:
+def parse_set_system(text: Text, source: Optional[str] = None) -> SetSystem:
     special: list[int] = []
 
     def line(no: int, tokens: list[str]) -> Optional[tuple[int, ...]]:
@@ -349,7 +372,7 @@ def serialize_digraph(digraph: Digraph) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_digraph(text: str, source: Optional[str] = None) -> Digraph:
+def parse_digraph(text: Text, source: Optional[str] = None) -> Digraph:
     def arc(no: int, tokens: list[str]) -> tuple[int, int]:
         if tokens[0] != "a" or len(tokens) != 3:
             raise ParseError("expected 'a <from> <to>'", source, no)
@@ -363,10 +386,10 @@ def parse_digraph(text: str, source: Optional[str] = None) -> Digraph:
 # ---------------------------------------------------------------------------
 
 
-def _single_line(text: str, kind: str, source: Optional[str]) -> tuple[int, list[str]]:
+def _single_line(text: Text, kind: str, source: Optional[str]) -> tuple[int, list[str]]:
     """(line number, tokens after the kind) of a certificate that is one
     `<kind> ...` line."""
-    lines = _content_lines(text)
+    lines = _content_lines(text, source)
     first = next(lines, None)
     if first is None or first[1][0] != kind or next(lines, None) is not None:
         raise ParseError(f"expected a single '{kind} ...' line", source, None)
@@ -380,7 +403,7 @@ def serialize_ordering_cert(ordering: Optional[Ordering]) -> str:
 
 
 def parse_ordering_cert(
-    text: str, source: Optional[str] = None
+    text: Text, source: Optional[str] = None
 ) -> Optional[Ordering]:
     no, tokens = _single_line(text, "o", source)
     if tokens == ["INFEASIBLE"]:
@@ -413,9 +436,9 @@ def serialize_model_cert(model: IntervalModel) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_model_cert(text: str, source: Optional[str] = None) -> IntervalModel:
+def parse_model_cert(text: Text, source: Optional[str] = None) -> IntervalModel:
     intervals: dict[int, tuple[Fraction, Fraction]] = {}
-    for no, tokens in _content_lines(text):
+    for no, tokens in _content_lines(text, source):
         if tokens[0] != "i" or len(tokens) != 4:
             raise ParseError("expected 'i <v> <lo> <hi>'", source, no)
         v = _int(tokens[1], source, no)
@@ -437,9 +460,9 @@ def serialize_partition_cert(part: Partition) -> str:
     return f"part 1 {one}".rstrip() + "\n" + f"part 2 {two}".rstrip() + "\n"
 
 
-def parse_partition_cert(text: str, source: Optional[str] = None) -> Partition:
+def parse_partition_cert(text: Text, source: Optional[str] = None) -> Partition:
     parts: dict[int, list[int]] = {}
-    for no, tokens in _content_lines(text):
+    for no, tokens in _content_lines(text, source):
         if tokens[0] != "part" or len(tokens) < 2:
             raise ParseError("expected 'part <1|2> <vertices...>'", source, no)
         which = _int(tokens[1], source, no)
@@ -465,7 +488,7 @@ def serialize_splitter_cert(x: SplitterSolution) -> str:
 
 
 def parse_splitter_cert(
-    text: str, source: Optional[str] = None
+    text: Text, source: Optional[str] = None
 ) -> SplitterSolution:
     no, tokens = _single_line(text, "x", source)
     elems = [_int(t, source, no) for t in tokens]
@@ -482,7 +505,7 @@ def serialize_assignment_cert(assignment: Assignment) -> str:
     return "v " + " ".join(lits + ["0"]) + "\n"
 
 
-def parse_assignment_cert(text: str, source: Optional[str] = None) -> Assignment:
+def parse_assignment_cert(text: Text, source: Optional[str] = None) -> Assignment:
     no, tokens = _single_line(text, "v", source)
     lits = [_int(t, source, no) for t in tokens]
     if not lits or lits[-1] != 0:
@@ -628,7 +651,7 @@ _SOURCES = {
 
 
 def read_mapping(
-    text: str, source: Optional[str] = None
+    text: Text, source: Optional[str] = None
 ) -> tuple[str, object, object, AnyMapping]:
     """Read what `reduce --map` writes: one stage or the sat2lce chain, as
     (stage, source instance, reduced instance, mapping).
@@ -637,6 +660,8 @@ def read_mapping(
     again, once.  A text byte for byte its serialization is read only up to
     the second header; in any other, the content lines, spacing normalized,
     must be the serialization, and the first line that differs is the error."""
+    if isinstance(text, bytes):
+        text = _decoded(text, source, 1)  # whole, to compare whole texts
     section, _, rest = text.partition("\np ")
     head, _, written = section.partition("\n")
     first = head[6:]
@@ -651,7 +676,7 @@ def read_mapping(
     except (KeyError, LineEmbedError):
         pass
     # Strings, not token lists, which the garbage collector would scan.
-    lines = [(no, " ".join(tokens)) for no, tokens in _content_lines(text)]
+    lines = [(no, " ".join(tokens)) for no, tokens in _content_lines(text, source)]
     heads = [i for i, (_, line) in enumerate(lines) if line == "p" or line[:2] == "p "]
     if lines and heads[:1] != [0]:
         raise ParseError("content before the first 'p map' header", source, lines[0][0])

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations
 from typing import Optional
 
 from .core import SignedGraph, build_signed_graph
@@ -47,32 +46,30 @@ def gen_planted_complete(
     Unit intervals start at n sorted uniform draws from [0, spread]; pairs
     at distance at most 1 become positive edges, all other pairs negative.
     Labels are shuffled so the planted ordering is hidden.  Always feasible.
-    Row i's pairs (labels[i], labels[j]), j > i, unordered, are two slices
-    of one list of all pairs: no statement runs per pair.
+    Only the positive pairs are built, as (min, max) tuples, one window of
+    labels per vertex; the graph holds G- as their complement.
     """
     if spread is None:
         spread = max(n / 4.0, 1.0)
     if not 0 < spread < math.inf:
         raise GraphError(f"spread must be positive and finite, got {spread}")
+    if n < 0:
+        raise GraphError(f"vertex count {n} is negative")
     rng = random.Random(seed)
     centers = sorted(rng.random() * spread for _ in range(n))
     labels = list(range(1, n + 1))
     rng.shuffle(labels)
-    pairs = list(combinations(labels, 2))
-    pos, neg = [], []
-    j_end = start = 0
-    for i in range(n):
+    pos = []
+    j_end = 0
+    for i, a in enumerate(labels):
         # Window scan: centers are sorted, so the positive neighbours of i
         # to its right form a prefix of i+1..n-1.
         if j_end < i + 1:
             j_end = i + 1
         while j_end < n and centers[j_end] - centers[i] <= 1.0:
             j_end += 1
-        mid, end = start + j_end - i - 1, start + n - i - 1
-        pos += pairs[start:mid]
-        neg += pairs[mid:end]
-        start = end
-    return build_signed_graph(n, pos, neg)
+        pos += [(a, b) if a < b else (b, a) for b in labels[i + 1 : j_end]]
+    return SignedGraph(n, frozenset(pos))
 
 
 def gen_random_cnf(num_vars: int, num_clauses: int, seed: int) -> CnfFormula:

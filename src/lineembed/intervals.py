@@ -4,8 +4,8 @@ A complete signed graph has a feasible line embedding exactly when its
 positive part admits a proper interval model, equivalently an umbrella
 ordering: whenever u comes before v and uv is a positive edge, every vertex
 between them is adjacent to both.  This module recognizes that structure,
-converts feasible orderings to exact rational interval models and back, and
-solves complete instances through the recognition route.
+converts feasible orderings to exact rational interval models, and solves
+complete instances through the recognition route.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .core import (
     Graph,
     Ordering,
     SignedGraph,
+    Violation,
     _check_covers,
     is_complete,
     positive_part,
@@ -118,12 +119,9 @@ def ordering_to_model(g: SignedGraph, ordering: Ordering) -> IntervalModel:
     carrying the first violation, on an infeasible ordering.
     """
     gp = _complete_positive_part(g)
-    res = verify_embedding(g, ordering)
-    if not res.valid:
-        raise InfeasibleOrderingError(
-            f"ordering is not a feasible embedding: {res.violation}",
-            res.violation,
-        )
+    vio = ordering_violation(g, ordering)
+    if vio is not None:
+        raise InfeasibleOrderingError(f"ordering is not a feasible embedding: {vio}", vio)
     last = neighborhood_extremes(gp, ordering)
     pos = ordering.position
     den = g.n + 1
@@ -134,6 +132,15 @@ def ordering_to_model(g: SignedGraph, ordering: Ordering) -> IntervalModel:
     return IntervalModel(intervals)
 
 
+def ordering_violation(g: SignedGraph, ordering: Ordering) -> Violation | None:
+    """verify_embedding(g, ordering).violation.  A complete graph's ordering
+    is decided by the umbrella test on its positive part, so verify_embedding
+    runs there only to name the violation of an infeasible one."""
+    if is_complete(g) and is_umbrella_ordering(positive_part(g), ordering):
+        return None
+    return verify_embedding(g, ordering).violation
+
+
 def _complete_positive_part(g: SignedGraph) -> Graph:
     """positive_part(g), or NotCompleteError when some pair carries no sign."""
     if not is_complete(g):
@@ -142,14 +149,6 @@ def _complete_positive_part(g: SignedGraph) -> Graph:
             f"needs {g.n * (g.n - 1) // 2}"
         )
     return positive_part(g)
-
-
-def model_to_ordering(model: IntervalModel) -> Ordering:
-    """Vertices by increasing left endpoint; validates the model first."""
-    model.validate()
-    return Ordering.from_seq(
-        sorted(model.intervals, key=lambda v: model.intervals[v][0])
-    )
 
 
 # ---------------------------------------------------------------------------

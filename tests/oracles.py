@@ -126,6 +126,15 @@ def model_problem(intervals):
             return "one interval properly contains another"
     return None
 
+
+def model_to_ordering(model):
+    """Vertices by increasing left endpoint; validates the model first."""
+    model.validate()
+    return Ordering.from_seq(
+        sorted(model.intervals, key=lambda v: model.intervals[v][0])
+    )
+
+
 # --- CNF / set splitting / digraph partition ground truth ------------------
 
 

@@ -19,7 +19,6 @@ from lineembed.core import is_complete, positive_part, verify_embedding
 from lineembed.generators import gen_planted_complete
 from lineembed.intervals import (
     model_intersection_graph,
-    model_to_ordering,
     ordering_to_model,
     solve_complete,
 )
@@ -43,6 +42,7 @@ from lineembed.reductions import (
 from lineembed.solvers import solve_bruteforce, solve_subset_dp
 
 from oracles import (
+    model_to_ordering,
     sat_assignments,
     solve_adp_bruteforce,
     solve_setsplitting_bruteforce,

@@ -13,6 +13,7 @@ import pytest
 
 import lineembed.core
 import lineembed.formats
+import lineembed.intervals
 import lineembed.reductions
 import lineembed.solvers
 from lineembed.cli import main
@@ -327,6 +328,16 @@ class TestUndecodableInput:
         assert (rc, out) == (3, "")
         assert err.startswith(f"error: {files['bad']}:{line}: byte 0x")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_ends_read_as_in_text_mode(self, tmp_path, capsys, end) -> None:
+        """Files are read as bytes, with CRLF and lone CR line ends made
+        newlines as text mode made them.  Fails if lone CRs are kept."""
+        inst, cert = tmp_path / "g.sg", tmp_path / "o.cert"
+        inst.write_bytes(P3_TEXT.replace("\n", end).encode())
+        cert.write_bytes(f"c one{end}o 1 2 3{end}".encode())
+        assert run(capsys, "verify", str(inst), str(cert)) == (0, "VALID\n", "")
+        assert run(capsys, "solve", str(inst)) == (0, "o 3 2 1\n", "")
 
 
 class TestReduce:
@@ -661,9 +672,13 @@ def count_calls(monkeypatch, owner, attr: str) -> list[int]:
 
 
 @pytest.fixture
-def verify_calls(monkeypatch) -> list[int]:
-    """Count calls of verify_embedding through every lineembed module."""
-    return count_calls(monkeypatch, lineembed.core, "verify_embedding")
+def check_calls(monkeypatch) -> tuple[list[int], list[int]]:
+    """Count calls of verify_embedding and of is_umbrella_ordering, which
+    checks an ordering of a complete graph, through every lineembed module."""
+    return (
+        count_calls(monkeypatch, lineembed.core, "verify_embedding"),
+        count_calls(monkeypatch, lineembed.intervals, "is_umbrella_ordering"),
+    )
 
 
 class TestCertificateChecks:
@@ -711,25 +726,30 @@ class TestCertificateChecks:
         assert proc.stdout == ""
         assert not out.exists()
 
+    # (verify_embedding calls, is_umbrella_ordering calls) of one solve.  The
+    # ordering's certificate check (the `o` check, or ordering_to_model with
+    # --model) decides a complete graph's ordering by is_umbrella_ordering,
+    # any other's by verify_embedding; the complete route's recognition
+    # validates its candidate by is_umbrella_ordering once before that.
     @pytest.mark.parametrize(
-        "text, extra",
+        "text, extra, calls",
         [
-            (P3_TEXT, []),
-            (P3_TEXT, ["--algo", "dp"]),
-            (P3_TEXT, ["--algo", "brute"]),
-            (SPARSE_TEXT, []),
-            (P3_TEXT, ["--model", "MODEL"]),
+            (P3_TEXT, [], (0, 2)),
+            (P3_TEXT, ["--algo", "dp"], (0, 1)),
+            (P3_TEXT, ["--algo", "brute"], (0, 1)),
+            (SPARSE_TEXT, [], (1, 0)),
+            (P3_TEXT, ["--model", "MODEL"], (0, 2)),
         ],
         ids=["complete", "dp", "brute", "auto-dp", "model"],
     )
     def test_one_verification_per_solve(
-        self, tmp_path, capsys, verify_calls, text, extra
+        self, tmp_path, capsys, check_calls, text, extra, calls
     ) -> None:
         inst = write(tmp_path, "g.sg", text)
         extra = [str(tmp_path / "m.cert") if a == "MODEL" else a for a in extra]
         rc, out, _ = run(capsys, "solve", inst, *extra)
         assert rc == 0 and out != "o INFEASIBLE\n"
-        assert len(verify_calls) == 1
+        assert tuple(map(len, check_calls)) == calls
 
 
 class TestGen:
@@ -785,6 +805,11 @@ class TestGen:
         rc, out, err = run(capsys, "gen", *argv)
         assert rc == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["planted-complete", "random-sg"])
+    def test_negative_vertex_count_refused(self, capsys, kind) -> None:
+        rc, out, err = run(capsys, "gen", kind, "--n", "-1")
+        assert (rc, out, err) == (2, "", "error: vertex count -1 is negative\n")
 
     def test_infinite_spread_refused(self, capsys) -> None:
         """Fails if the guard lets infinity through: every center is then

@@ -22,6 +22,7 @@ from lineembed.formats import (
     parse_set_system,
     parse_signed_graph,
     parse_splitter_cert,
+    read_mapping,
     serialize_assignment_cert,
     serialize_cnf,
     serialize_digraph,
@@ -266,6 +267,36 @@ class TestInstanceErrors:
         with pytest.raises(ParseError) as err:
             parse(text, "in")
         assert (err.value.line, str(err.value)) == (line, f"in:{line}: {message}")
+
+
+class TestUndecodableBytes:
+    """Every parser takes UTF-8 bytes; a byte that is not UTF-8 is a
+    ParseError at its line, not a UnicodeDecodeError."""
+
+    @pytest.mark.parametrize(
+        "parse, data, line",
+        [
+            (parse_signed_graph, b"c \xff\np sg 2 1 0\ne + 1 2\n", 1),
+            (parse_signed_graph, b"p sg 2 1 0\nc x\xc3\ne + 1 2\n", 2),
+            (parse_signed_graph, b"p sg 2 1 0\ne + 1 2\xe9\n", 2),
+            (parse_signed_graph, b"p sg 2 0 0\n\xed\xa0\x80\n", 2),
+            (parse_cnf, b"p cnf 1 1\n" + b"c pad\n" * 2000 + b"1 0 \x80\n", 2002),
+            (parse_ordering_cert, b"o 1\n\xc3", 2),
+            (parse_model_cert, b"\n\ni 1 0 \xfe\n", 3),
+            (parse_partition_cert, b"part 1 1\npart 2 \xff\n", 2),
+            (instance_kind, b"\xff p sg 1 0 0\n", 1),
+            (read_mapping, b"p map adp2lce\nx digraph 1 0\n\x80", 3),
+        ],
+        ids=["sg-before-header", "sg-comment", "sg-edge", "sg-surrogate",
+             "cnf-past-first-block", "ordering", "model", "partition",
+             "instance-kind", "mapping"],
+    )
+    def test_parse_error_at_the_line(self, parse, data, line) -> None:
+        with pytest.raises(ParseError) as err:
+            parse(data, "in")
+        assert err.value.line == line
+        assert str(err.value).startswith(f"in:{line}: byte 0x")
+        assert str(err.value).endswith(" is not valid UTF-8")
 
 
 class TestOrderingCert:

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from lineembed.bench import BenchReport, bench_instance, run_bench
-from lineembed.core import Graph, is_complete, verify_embedding
+from lineembed.core import Graph, build_signed_graph, is_complete, verify_embedding
 from lineembed.errors import GraphError, ReductionError
 from lineembed.formats import serialize_cnf, serialize_signed_graph
 from lineembed.generators import (
@@ -202,6 +204,32 @@ class TestPlantedComplete:
     def test_rejects_bad_spread(self) -> None:
         with pytest.raises(GraphError):
             gen_planted_complete(4, spread=0.0, seed=0)
+
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_rejects_negative_vertex_count(self, n) -> None:
+        """The complement form is built without build_signed_graph, so the
+        generator makes its vertex-count check itself."""
+        with pytest.raises(GraphError, match=f"^vertex count {n} is negative$"):
+            gen_planted_complete(n)
+
+    @pytest.mark.parametrize("n", [*range(41), 1000])
+    def test_views_match_an_explicit_build(self, n) -> None:
+        """The generator builds G+ alone, unvalidated; G- is its complement.
+        Fails if a pair is emitted as (max, min) or twice, or a view of G-
+        misses, repeats or invents a pair, or m_neg miscounts."""
+        every = set(combinations(range(1, n + 1), 2))
+        for spread in (None, 1.0, 1e-9, 3.0, 1e6) if n <= 40 else (None, 1.0):
+            for seed in range(3 if n <= 40 else 1):
+                g = gen_planted_complete(n, spread, seed)
+                neg = every - g.pos
+                assert g.pos <= every and g.m_pos == len(g.pos)
+                assert g.neg == neg  # the pure-Python set view
+                # A fresh graph, so its array view is the numpy complement.
+                rows = gen_planted_complete(n, spread, seed).neg_array
+                assert rows.dtype == np.int64 and rows.shape == (len(neg), 2)
+                assert rows.tolist() == [list(e) for e in sorted(neg)]
+                assert g.m_neg == len(neg) and is_complete(g)
+                assert build_signed_graph(n, g.pos, g.neg) == g
 
     @pytest.mark.parametrize(
         "n, spread, seed",

@@ -14,6 +14,8 @@ from lineembed.core import (
     positive_part,
     verify_embedding,
 )
+import lineembed.cli as cli
+import lineembed.intervals
 from lineembed.cli import _check_model
 from lineembed.errors import (
     InfeasibleOrderingError,
@@ -25,7 +27,6 @@ from lineembed.intervals import (
     _lbfs,
     is_umbrella_ordering,
     model_intersection_graph,
-    model_to_ordering,
     neighborhood_extremes,
     ordering_to_model,
     recognize_proper_interval,
@@ -40,6 +41,7 @@ from oracles import (
     lbfs_by_labels,
     model_intersection_edges,
     model_problem,
+    model_to_ordering,
     umbrella_ok_direct,
 )
 from test_core import random_signed_graph
@@ -225,6 +227,44 @@ class TestUmbrellaCheck:
             assert is_umbrella_ordering(gp, Ordering.from_seq(seq)) == (
                 umbrella_ok_direct(n, edges, tuple(seq))
             )
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 6])
+    def test_decides_complete_graphs_as_the_definition(self, n, monkeypatch) -> None:
+        """The `o` check and ordering_to_model decide a complete graph's
+        ordering by the umbrella test (ordering_violation, which both call);
+        verify_embedding, written from the
+        definition, must agree, and on failure give the violation both
+        report.  Every sign pattern: with every ordering for n <= 4, with a
+        seeded one for n = 6 (a second would double its 4 s).
+        verify_embedding runs once per case: the `o` check's own call on
+        failure, recorded, else a direct one.  Fails if the umbrella test
+        checks only one side of each vertex."""
+        seen = []
+        record = lambda g, o: seen.append(verify_embedding(g, o)) or seen[-1]
+        monkeypatch.setattr(lineembed.intervals, "verify_embedding", record)
+        rng = random.Random(616)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        every = [Ordering(p) for p in itertools.permutations(range(1, n + 1))]
+        for signs in itertools.product((True, False), repeat=len(pairs)):
+            pos = [p for p, plus in zip(pairs, signs) if plus]
+            g = build_signed_graph(n, pos, [p for p in pairs if p not in pos])
+            gp = positive_part(g)
+            for o in every if n <= 4 else [rng.choice(every)]:
+                seen.clear()
+                problem = cli._check_ordering(g, o, None)
+                assert (problem is None) == is_umbrella_ordering(gp, o) == (not seen)
+                if problem is None:
+                    assert verify_embedding(g, o).valid
+                    continue
+                want = seen[0].violation
+                assert problem == (
+                    f"vertex {want.u} sees positive neighbour {want.u1} "
+                    f"beyond negative neighbour {want.u2} on its {want.side}"
+                )
+                if n <= 4:
+                    with pytest.raises(InfeasibleOrderingError) as err:
+                        ordering_to_model(g, o)
+                    assert err.value.violation == want
 
 
 class TestLbfs:
