@@ -253,6 +253,9 @@ def _emit_checked(kind: str, instance, cert, out: Optional[str]) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.cap is not None and args.cap < 0:
+        raise UsageError("--cap must be at least 0")
+    cap = {} if args.cap is None else {"cap": args.cap}
     data, source = _read(args.instance)
     g = parse_signed_graph(data, source)
     algo = args.algo
@@ -263,13 +266,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             raise UsageError("--algo complete needs a complete signed graph")
         ordering = solve_complete(g)
     elif algo == "brute":
-        ordering = (
-            solve_bruteforce(g) if args.cap is None else solve_bruteforce(g, cap=args.cap)
-        )
+        ordering = solve_bruteforce(g, **cap)
     else:
-        ordering = (
-            solve_subset_dp(g) if args.cap is None else solve_subset_dp(g, cap=args.cap)
-        )
+        ordering = solve_subset_dp(g, **cap)
     if args.model is not None:
         if not is_complete(g):
             raise UsageError("--model needs a complete signed graph")

@@ -218,10 +218,17 @@ class Ordering:
     @staticmethod
     def from_seq(vertices: Iterable[int]) -> "Ordering":
         seq = tuple(vertices)
-        if sorted(seq) != list(range(1, len(seq) + 1)):
-            raise OrderingError(
-                f"sequence {seq} is not a permutation of 1..{len(seq)}"
-            )
+        n = len(seq)
+        if sorted(seq) != list(range(1, n + 1)):
+            seen = set()
+            for v in seq:  # one offender: a gadget's ordering runs to 10^5 vertices
+                if v in seen or v not in range(1, n + 1):
+                    how = "repeats" if v in seen else f"lies outside 1..{n}"
+                    raise OrderingError(
+                        f"a sequence of {n} vertices is not a permutation: "
+                        f"vertex {v} {how}"
+                    )
+                seen.add(v)
         return Ordering(seq)
 
     @cached_property

@@ -530,37 +530,38 @@ def parse_assignment_cert(text: Text, source: Optional[str] = None) -> Assignmen
 
 
 def _serialize_sat2ss(m: SatToSsMapping) -> list[str]:
+    n = m.cnf.num_vars
     out = ["p map sat2ss"]
-    out.append(f"x vars {m.num_vars}")
-    out.append(f"x clauses {len(m.clauses)}")
+    out.append(f"x vars {n}")
+    out.append(f"x clauses {len(m.cnf.clauses)}")
     out.append(f"x special {m.special}")
-    for i in range(1, m.num_vars + 1):
+    for i in range(1, n + 1):
         out.append(f"map {m.element_of(i)} lit {i}")
         out.append(f"map {m.element_of(-i)} lit {-i}")
-    for idx, (kind, ref) in enumerate(m.set_origins, start=1):
-        out.append(f"map {idx} {kind}set {ref}")
-    for clause in m.clauses:
+    out.extend(f"map {i} varset {i}" for i in range(1, n + 1))
+    out.extend(f"map {n + j} clauseset {j}" for j in range(1, len(m.cnf.clauses) + 1))
+    for clause in m.cnf.clauses:
         out.append("src " + " ".join(str(lit) for lit in clause) + " 0")
     return out
 
 
 def _serialize_ss2adp(m: SsToAdpMapping) -> list[str]:
     out = ["p map ss2adp"]
-    out.append(f"x universe {m.universe_size}")
-    for u in range(1, m.universe_size + 1):
+    out.append(f"x universe {m.system.universe_size}")
+    for u in range(1, m.system.universe_size + 1):
         out.append(f"map {u} d {u}")
-    for (set_idx, elem), vertex in sorted(m.c_of.items(), key=lambda kv: kv[1]):
+    for vertex, set_idx, elem in m.memberships():
         out.append(f"map {vertex} c {set_idx} {elem}")
     return out
 
 
 def _serialize_adp2lce(m: AdpToLceMapping) -> list[str]:
     out = ["p map adp2lce"]
-    out.append(f"x digraph {m.digraph_n} {len(m.arcs)}")
+    out.append(f"x digraph {m.digraph.n} {len(m.digraph.arcs)}")
     out.append("map 1 s")
-    for idx, (a, b) in enumerate(m.arcs):
+    for idx, (a, b) in enumerate(m.digraph.arcs):
         out.append(f"map {m.checker_of(idx)} checker {a} {b}")
-    for v in range(1, m.digraph_n + 1):
+    for v in range(1, m.digraph.n + 1):
         out.append(f"map {m.align_of(v)} align {v}")
     return out
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -263,13 +263,15 @@ def adp_violation(digraph: Digraph, part: Partition) -> Optional[tuple[int, list
 @dataclass(frozen=True)
 class SatToSsMapping:
     """Element numbering: literal +i -> 2i-1, -i -> 2i, special -> 2n+1.
+    Set i is variable i's pair set and set n + j is clause j's set.
 
-    Carries the source clauses so lifted assignments can be checked."""
+    Holds the source formula, so lifted assignments can be checked."""
 
-    num_vars: int
-    clauses: tuple[tuple[int, ...], ...]
-    special: int
-    set_origins: tuple[tuple[str, int], ...]  # ("var", i) or ("clause", j)
+    cnf: CnfFormula
+
+    @property
+    def special(self) -> int:
+        return 2 * self.cnf.num_vars + 1
 
     def element_of(self, lit: int) -> int:
         return 2 * abs(lit) - 1 if lit > 0 else 2 * abs(lit)
@@ -278,19 +280,10 @@ class SatToSsMapping:
 def sat_to_setsplitting(cnf: CnfFormula) -> tuple[SetSystem, SatToSsMapping]:
     """Per-variable pair sets plus per-clause sets through a shared special
     element.  |U| = 2n+1 and total membership is 2n + sum(|C|+1)."""
-    n = cnf.num_vars
-    special = 2 * n + 1
-    mapping = SatToSsMapping(
-        num_vars=n,
-        clauses=cnf.clauses,
-        special=special,
-        set_origins=tuple(
-            [("var", i) for i in range(1, n + 1)]
-            + [("clause", j) for j in range(1, len(cnf.clauses) + 1)]
-        ),
-    )
+    mapping = SatToSsMapping(cnf)
+    special = mapping.special
     sets: list[tuple[int, ...]] = [
-        (2 * i - 1, 2 * i) for i in range(1, n + 1)
+        (2 * i - 1, 2 * i) for i in range(1, cnf.num_vars + 1)
     ]
     for clause in cnf.clauses:
         members = sorted({mapping.element_of(lit) for lit in clause} | {special})
@@ -305,12 +298,12 @@ def sat_solution_to_setsplitting(
 
     Raises ReductionError unless the assignment satisfies the formula.
     """
-    if not eval_cnf(CnfFormula(mapping.num_vars, mapping.clauses), assignment):
+    if not eval_cnf(mapping.cnf, assignment):
         raise ReductionError("assignment does not satisfy the formula")
     return SplitterSolution(
         frozenset(
             mapping.element_of(i if assignment.value(i) else -i)
-            for i in range(1, mapping.num_vars + 1)
+            for i in range(1, mapping.cnf.num_vars + 1)
         )
     )
 
@@ -320,11 +313,10 @@ def lift_setsplitting_to_sat(
 ) -> Assignment:
     """Complement away the special element, then read variables off X."""
     chosen = set(x.chosen)
-    universe = set(range(1, 2 * mapping.num_vars + 2))
     if mapping.special in chosen:
-        chosen = universe - chosen
+        chosen = set(range(1, mapping.special + 1)) - chosen
     values = []
-    for i in range(1, mapping.num_vars + 1):
+    for i in range(1, mapping.cnf.num_vars + 1):
         pos_in = (2 * i - 1) in chosen
         neg_in = (2 * i) in chosen
         if pos_in == neg_in:
@@ -343,18 +335,20 @@ def lift_setsplitting_to_sat(
 @dataclass(frozen=True)
 class SsToAdpMapping:
     """d_u = u for u in 1..|U|; membership vertices follow in (set index,
-    element) lexicographic order."""
+    element) lexicographic order.
 
-    universe_size: int
-    c_of: dict[tuple[int, int], int]  # (set index, element) -> vertex
+    Holds the source set system, without a special element."""
 
-    def sets(self) -> tuple[tuple[int, ...], ...]:
-        grouped: dict[int, list[int]] = {}
-        for (set_idx, elem) in self.c_of:
-            grouped.setdefault(set_idx, []).append(elem)
-        return tuple(
-            tuple(sorted(grouped[idx])) for idx in sorted(grouped)
-        )
+    system: SetSystem
+
+    def memberships(self) -> Iterator[tuple[int, int, int]]:
+        """(vertex, set index, element) of each membership vertex, numbered
+        from |U| + 1 by walking the sets in order."""
+        c = self.system.universe_size
+        for set_idx, members in enumerate(self.system.sets, start=1):
+            for elem in members:
+                c += 1
+                yield c, set_idx, elem
 
 
 def setsplitting_to_adp(sys: SetSystem) -> tuple[Digraph, SsToAdpMapping]:
@@ -366,14 +360,12 @@ def setsplitting_to_adp(sys: SetSystem) -> tuple[Digraph, SsToAdpMapping]:
     |V| = |U| + total membership, |A| = 3 * total membership.
     """
     u_count = sys.universe_size
-    c_of: dict[tuple[int, int], int] = {}
     of_elem: list[list[int]] = [[] for _ in range(u_count + 1)]
     arcs: list[tuple[int, int]] = []
     nxt = u_count + 1
-    for set_idx, members in enumerate(sys.sets, start=1):
+    for members in sys.sets:
         ring = list(range(nxt, nxt + len(members)))
         for elem, c in zip(members, ring):  # members are stored ascending
-            c_of[(set_idx, elem)] = c
             of_elem[elem].append(c)
         arcs.extend(zip(ring, ring[1:] + ring[:1]))
         nxt += len(members)
@@ -381,7 +373,8 @@ def setsplitting_to_adp(sys: SetSystem) -> tuple[Digraph, SsToAdpMapping]:
         for c in of_elem[elem]:
             arcs.append((elem, c))
             arcs.append((c, elem))
-    return build_digraph(nxt - 1, arcs), SsToAdpMapping(u_count, c_of)
+    mapping = SsToAdpMapping(SetSystem(u_count, sys.sets))
+    return build_digraph(nxt - 1, arcs), mapping
 
 
 def setsplitting_solution_to_adp(
@@ -392,25 +385,20 @@ def setsplitting_solution_to_adp(
 
     Raises ReductionError unless X splits the mapping's set system.
     """
-    sys = build_set_system(mapping.universe_size, mapping.sets())
+    sys = mapping.system
     if unsplit_set_index(sys, x) is not None:
         raise ReductionError("splitter does not split the set system")
     part1 = set(x.chosen)
-    for (_, elem), c in mapping.c_of.items():
-        if elem not in x.chosen:
-            part1.add(c)
-    return build_partition(mapping.universe_size + len(mapping.c_of), part1)
+    part1.update(c for c, _, elem in mapping.memberships() if elem not in x.chosen)
+    return build_partition(sys.universe_size + sum(map(len, sys.sets)), part1)
 
 
 def lift_adp_to_setsplitting(
     part: Partition, mapping: SsToAdpMapping
 ) -> SplitterSolution:
     """X = universe elements whose element vertex lies in part 1."""
-    return SplitterSolution(
-        frozenset(
-            u for u in range(1, mapping.universe_size + 1) if u in part.part1
-        )
-    )
+    universe = mapping.system.universe_size
+    return SplitterSolution(frozenset(u for u in part.part1 if u <= universe))
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +409,11 @@ def lift_adp_to_setsplitting(
 @dataclass(frozen=True)
 class AdpToLceMapping:
     """s is vertex 1; checker vertices follow in arc-input order; alignment
-    vertices come last, one per digraph vertex in index order."""
+    vertices come last, one per digraph vertex in index order.
 
-    digraph_n: int
-    arcs: tuple[tuple[int, int], ...]
+    Holds the source digraph."""
+
+    digraph: Digraph
 
     @property
     def s_vertex(self) -> int:
@@ -434,10 +423,7 @@ class AdpToLceMapping:
         return 2 + arc_index
 
     def align_of(self, v: int) -> int:
-        return 1 + len(self.arcs) + v
-
-    def source_digraph(self) -> Digraph:
-        return Digraph(self.digraph_n, self.arcs)
+        return 1 + len(self.digraph.arcs) + v
 
 
 # Peak bytes per gadget edge of adp_to_lce: tracemalloc read 50-81 on
@@ -461,7 +447,6 @@ def adp_to_lce(digraph: Digraph) -> tuple[SignedGraph, AdpToLceMapping]:
             raise SelfLoopError(
                 f"arc ({a}, {b}) is a self-loop; resolve it before this stage"
             )
-    mapping = AdpToLceMapping(digraph_n=digraph.n, arcs=digraph.arcs)
     m = len(digraph.arcs)
     size, rows = 1 + m + digraph.n, 3 * m + digraph.n
     if size >= 2**31:
@@ -482,7 +467,7 @@ def adp_to_lce(digraph: Digraph) -> tuple[SignedGraph, AdpToLceMapping]:
     align_v = np.arange(1, digraph.n + 1) + (1 + m)
     s_align = np.column_stack((np.ones_like(align_v), align_v))
     neg = np.concatenate((np.column_stack((c, align[:, 1])), s_align))
-    return _build_from_arrays(1 + m + digraph.n, pos, neg), mapping
+    return _build_from_arrays(1 + m + digraph.n, pos, neg), AdpToLceMapping(digraph)
 
 
 def adp_solution_to_lce_ordering(
@@ -498,7 +483,7 @@ def adp_solution_to_lce_ordering(
     order.  Raises ReductionError when a part is cyclic; the ordering itself
     is not re-verified here.
     """
-    digraph = mapping.source_digraph()
+    digraph = mapping.digraph
     ranks = []
     for vertices in (part.part1, part.part2):
         order, cycle = _kahn(vertices, digraph)
@@ -511,8 +496,7 @@ def adp_solution_to_lce_ordering(
     cross_21: list[int] = []
     inner_1: list[tuple[tuple[int, int], int]] = []
     inner_2: list[tuple[tuple[int, int], int]] = []
-    for idx, (a, b) in enumerate(digraph.arcs):
-        c = mapping.checker_of(idx)
+    for c, (a, b) in enumerate(digraph.arcs, start=mapping.checker_of(0)):
         if a in part.part1 and b in part.part1:
             inner_1.append(((pi1[a], pi1[b]), c))
         elif a in part.part1:
@@ -541,12 +525,9 @@ def lift_lce_to_adp(ordering: Ordering, mapping: AdpToLceMapping) -> Partition:
     """Part 1 = digraph vertices whose alignment vertex precedes s."""
     pos = ordering.position
     s_rank = pos[mapping.s_vertex]
-    part1 = frozenset(
-        v
-        for v in range(1, mapping.digraph_n + 1)
-        if pos[mapping.align_of(v)] < s_rank
-    )
-    return build_partition(mapping.digraph_n, part1)
+    n = mapping.digraph.n
+    part1 = frozenset(v for v in range(1, n + 1) if pos[mapping.align_of(v)] < s_rank)
+    return build_partition(n, part1)
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,12 @@ cost more per set.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 import resource
 from contextlib import suppress
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -314,10 +315,11 @@ def solve_subset_dp(g: SignedGraph, cap: int = SUBSET_DP_CAP) -> Optional[Orderi
     the work follows the reachable sets rather than all 2^n.
 
     The ordering is rebuilt backwards: at every step the smallest vertex
-    that any component can place last goes last.  That is the "smallest
-    eligible vertex last" rule of a full 2^n table, so the ordering is the
-    one the test suite's reference table gives.  The result is not
-    re-verified here; callers that print it check it first.
+    that any component can place last goes last, a merge of the components'
+    placement orders, as each depends on its own prefix set alone.  That is
+    the "smallest eligible vertex last" rule of a full 2^n table, so the
+    ordering is the one the test suite's reference table gives.  The result
+    is not re-verified here; callers that print it check it first.
     """
     n = g.n
     if n > cap:
@@ -334,20 +336,14 @@ def solve_subset_dp(g: SignedGraph, cap: int = SUBSET_DP_CAP) -> Optional[Orderi
             return None
         tables.append(layers)
 
-    masks = [(1 << len(verts)) - 1 for verts in comps]
+    def placements(verts: list[int], layers) -> Iterator[int]:
+        """The vertices one component places last, from its full set down."""
+        mask = (1 << len(verts)) - 1
+        while mask:
+            sets, last = layers[mask.bit_count()]
+            i = int(last[np.searchsorted(sets, np.uint64(mask))])
+            yield verts[i]
+            mask ^= 1 << i
 
-    def last_of(c: int) -> int:
-        """The vertex component c places last in its current prefix set."""
-        sets, last = tables[c][masks[c].bit_count()]
-        return comps[c][last[np.searchsorted(sets, np.uint64(masks[c]))]]
-
-    placeable = {c: last_of(c) for c in range(len(comps))}
-    seq_rev: list[int] = []
-    while placeable:
-        c = min(placeable, key=placeable.__getitem__)
-        v = placeable.pop(c)
-        seq_rev.append(v)
-        masks[c] ^= 1 << comps[c].index(v)
-        if masks[c]:
-            placeable[c] = last_of(c)
-    return Ordering.from_seq(reversed(seq_rev))
+    seq_rev = heapq.merge(*map(placements, comps, tables))
+    return Ordering.from_seq(reversed(list(seq_rev)))

@@ -22,9 +22,11 @@ from lineembed.formats import (
     parse_model_cert,
     parse_ordering_cert,
     parse_signed_graph,
+    serialize_cnf,
     serialize_mapping,
     serialize_ordering_cert,
 )
+from lineembed.generators import gen_random_cnf
 from lineembed.intervals import IntervalModel
 from lineembed.reductions import (
     Assignment,
@@ -138,6 +140,15 @@ class TestSolve:
             "--cap", "11",
         )
         assert rc == 0
+
+    @pytest.mark.parametrize("algo", ["dp", "brute"])
+    def test_negative_cap_is_usage_error(self, tmp_path, capsys, algo) -> None:
+        """Fails if --cap -1 reaches the solver, which refused the instance
+        as over its cap with exit 4."""
+        inst = write(tmp_path, "p3.sg", P3_TEXT)
+        rc, out, err = run(capsys, "solve", inst, "--algo", algo, "--cap", "-1")
+        assert rc == 2 and out == ""
+        assert err == "error: --cap must be at least 0\n"
 
     def test_dp_table_beyond_memory(self, tmp_path, capsys, monkeypatch) -> None:
         # Under the 64-vertex cap, but with 16 MB available the path's fourth
@@ -297,6 +308,22 @@ class TestVerify:
         cert = write(tmp_path, "o.cert", "o 1\n")
         rc, _, err = run(capsys, "verify", inst, cert)
         assert rc == 2 and "does not apply" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "lift"])
+def test_repeated_vertex_in_a_large_ordering_is_named(tmp_path, capsys, command) -> None:
+    """A 1,000-variable chain's gadget ordering (tens of thousands of
+    vertices) with one vertex repeated: exit 3 with one short error line
+    naming that vertex.  Fails if the message echoes the whole ordering."""
+    cnf = write(tmp_path, "f.cnf", serialize_cnf(gen_random_cnf(1000, 4000, seed=0)))
+    gadget, mapping = str(tmp_path / "g.sg"), str(tmp_path / "g.map")
+    assert run(capsys, "reduce", "sat2lce", cnf, "--out", gadget, "--map", mapping)[0] == 0
+    n = parse_signed_graph(Path(gadget).read_bytes()).n
+    cert = write(tmp_path, "g.o", "o " + " ".join(map(str, [*range(1, n), 7])) + "\n")
+    rc, out, err = run(capsys, command, gadget if command == "verify" else mapping, cert)
+    assert rc == 3 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and len(err.encode()) < 200
+    assert f"{n} vertices" in err and "vertex 7 repeats" in err
 
 
 class TestUndecodableInput:
@@ -603,7 +630,7 @@ def disjoint_intervals(g, ordering):
     return IntervalModel({v: (Fraction(v), v + Fraction(1, 2)) for v in ordering})
 
 def all_false(ordering, mapping):
-    return Assignment((False,) * mapping.sat2ss.num_vars)
+    return Assignment((False,) * mapping.sat2ss.cnf.num_vars)
 
 if sys.argv[1] == "solver":
     cli.solve_complete = cli.solve_subset_dp = cli.solve_bruteforce = identity

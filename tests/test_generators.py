@@ -12,14 +12,26 @@ import pytest
 from lineembed.bench import BenchReport, bench_instance, run_bench
 from lineembed.core import Graph, build_signed_graph, is_complete, verify_embedding
 from lineembed.errors import GraphError, ReductionError
-from lineembed.formats import serialize_cnf, serialize_signed_graph
+from lineembed.formats import (
+    read_mapping,
+    serialize_cnf,
+    serialize_mapping,
+    serialize_signed_graph,
+)
 from lineembed.generators import (
     gen_planted_complete,
     gen_random_cnf,
     gen_random_signed_graph,
 )
 from lineembed.intervals import solve_complete
-from lineembed.reductions import build_cnf
+from lineembed.reductions import (
+    adp_to_lce,
+    build_cnf,
+    build_digraph,
+    sat_to_lce,
+    sat_to_setsplitting,
+    setsplitting_to_adp,
+)
 from lineembed.solvers import _components, _frontier_layers, _local_masks
 
 # SHA-256 of serialize_signed_graph(gen_planted_complete(n, spread, seed)) by
@@ -145,6 +157,59 @@ PLANTED_DIGESTS = {
     ),
 }
 
+# SHA-256 of serialize_mapping(m) by stage, one per seed from 0, for the
+# mappings of _stage_mappings(seed): recorded from the reductions that
+# stored each stage's vertex numbering as tables.
+MAPPING_DIGESTS = {
+    "sat2ss": (
+        "c21e7c1b44df87b3dd3b323ef0b48efe64b4085a65853ad3c1d7755b3bf200db",
+        "ca23516f16c61b3edb33f819d06a771291afc5f1da2e538da8e67a0e3ae893b2",
+        "1bd00b1ebf223ec126fbdac8fee853210d97fa48ba65f6c7b748639225d4aa07",
+        "86c280585f40d47b8828ad21d99c42a3fca112b06cadb0a44188d40ded73e157",
+        "0a7c641c5269ea41d576e5f144264d0641911011e1c0575dd293d20518b7b6e9",
+        "3ad1b0cd4b356f74846585b87e99a139d75e3ce4de1b34cd20bb1584f0b2296d",
+    ),
+    "ss2adp": (
+        "0075392dbfe18d91ae7df9cb2c2768565e0d381c4d5df11cabda16039faafec0",
+        "a094962c0b806b8f4fea015c97c3a0cd86280168287ee10dfc861c2e6d227a7e",
+        "5fb153ef01234a32981548228c44b171f2aa28c42a8026394a1ca1a25dfa5c31",
+        "bda56571a5abdb74d1b0f4a3c8e64746f27158edcc99d9b8078e3145b092a79e",
+        "72d25db27f7b9ac21fa9c08a126e7a5cd7e9ca8ccf1f9660076fb4f60caafc9c",
+        "59bc16e9c8743153dc519195873d07837a52adce412f475e8a378143750c0c3b",
+    ),
+    "adp2lce": (
+        "71b1c74db7a258f5657f27a9e5bcf91a0aaaab84d16f75cdb65434944a6ab02b",
+        "05c73601b6736d4ddf9961b7ecff8750a31d78c14cc7385f7a35985f2ba90542",
+        "c9185363d226446e7b63fa81278fdd39c03436d57396305f2abd1d64a246db04",
+        "a10827f44705ca3c4ff9140eefe6c6d13a5a1a0bc8066ad90d92956cf5cd9305",
+        "5e0b93757764c44531de5ffd249ee284c2b7143a9658cf3f67564b2b3b283608",
+        "636d7b64dcc116da4c38c699cfb64a24ea82b0a166cd8a756f8578f61e0e74b4",
+    ),
+    "sat2lce": (
+        "704c44a041de2f76b5c65692a1da7a3afa9c55e1ea5f0eb3bb6d64f2b41b5196",
+        "eb7a87fc9373e8c961aa5c6f6c1ceaf603183cd45d35d10aabe9e1733136127b",
+        "f69c3ba80d18acd2d68b304bbe840f6a9f83ad8e09129382519d5d99c3f46a30",
+        "c10eebf6a7ff2f2fe2548e148303806b601f01969b24fd7aebdc3eb34abfa4bb",
+        "05971456007ae1493a588a577019362c53169f3735adc8deec19e17a23500023",
+        "98cf9612531a4aff4cd660fbf2dd377621ae7bac1fe6c7e16961e368dfe9f1c4",
+    ),
+}
+
+
+def _stage_mappings(seed: int) -> dict:
+    """Each stage's mapping over gen_random_cnf's instance for the seed;
+    adp2lce reduces the chain's digraph with its self-loops dropped."""
+    cnf = gen_random_cnf(3 + 2 * seed, 4 + 3 * seed, seed)
+    sys, sat2ss = sat_to_setsplitting(cnf)
+    digraph, ss2adp = setsplitting_to_adp(sys)
+    loopless = build_digraph(digraph.n, [arc for arc in digraph.arcs if arc[0] != arc[1]])
+    return {
+        "sat2ss": sat2ss,
+        "ss2adp": ss2adp,
+        "adp2lce": adp_to_lce(loopless)[1],
+        "sat2lce": sat_to_lce(cnf)[1],
+    }
+
 
 class TestRandomSignedGraph:
     def test_golden(self) -> None:
@@ -246,6 +311,19 @@ class TestRandomCnf:
     def test_golden(self) -> None:
         cnf = gen_random_cnf(4, 3, seed=11)
         assert serialize_cnf(cnf) == "p cnf 4 3\n-4 -2 0\n-4 0\n1 0\n"
+
+    @pytest.mark.parametrize(
+        "stage, seed",
+        [(stage, seed) for stage, digests in MAPPING_DIGESTS.items()
+         for seed in range(len(digests))],
+    )
+    def test_mapping_bytes_frozen(self, stage, seed) -> None:
+        """Each stage writes the same mapping bytes, and reading them back
+        gives a mapping equal to the one the reduction built."""
+        mapping = _stage_mappings(seed)[stage]
+        text = serialize_mapping(mapping)
+        assert hashlib.sha256(text.encode()).hexdigest() == MAPPING_DIGESTS[stage][seed]
+        assert read_mapping(text)[::3] == (stage, mapping)
 
     def test_deterministic_and_valid(self) -> None:
         for seed in range(10):

@@ -9,6 +9,7 @@ import pytest
 
 from lineembed.core import verify_embedding
 from lineembed.errors import CapExceededError, ReductionError, SelfLoopError
+from lineembed.formats import serialize_mapping
 from lineembed.reductions import (
     Assignment,
     Partition,
@@ -223,12 +224,15 @@ class TestSatToSetsplitting:
         assert sys.universe_size == 7
         assert sys.special == 7
         assert sys.sets == ((1, 2), (3, 4), (5, 6), (1, 3, 5, 7))
-        assert mapping.set_origins == (
-            ("var", 1),
-            ("var", 2),
-            ("var", 3),
-            ("clause", 1),
-        )
+        # Set i is variable i's pair set, set n + j clause j's set.
+        assert mapping.cnf == XYZ and mapping.special == 7
+        lines = serialize_mapping(mapping).splitlines()
+        assert [line for line in lines if "set " in line] == [
+            "map 1 varset 1",
+            "map 2 varset 2",
+            "map 3 varset 3",
+            "map 4 clauseset 1",
+        ]
         assert mapping.element_of(2) == 3
         assert mapping.element_of(-2) == 4
         assert literal_of(3) == 2
@@ -308,7 +312,8 @@ class TestSetsplittingToAdp:
             (2, 4),
             (4, 2),
         )
-        assert mapping.c_of == {(1, 1): 3, (1, 2): 4}
+        assert mapping.system == PAIR_SYSTEM
+        assert list(mapping.memberships()) == [(3, 1, 1), (4, 1, 2)]
 
     def test_frozen_xyz_gadget(self) -> None:
         sys, _ = sat_to_setsplitting(XYZ)
@@ -328,9 +333,9 @@ class TestSetsplittingToAdp:
             (16, 17),
             (17, 14),
         )
-        assert mapping.sets() == sys.sets
-        rebuilt = build_set_system(mapping.universe_size, mapping.sets())
-        assert setsplitting_to_adp(rebuilt)[0] == digraph
+        # The mapping holds the source set system without its special element.
+        assert mapping.system == build_set_system(7, sys.sets)
+        assert setsplitting_to_adp(mapping.system)[0] == digraph
 
     def test_singleton_set_self_loop(self) -> None:
         digraph, _ = setsplitting_to_adp(build_set_system(1, [(1,)]))
@@ -402,7 +407,8 @@ class TestAdpToLce:
         assert mapping.checker_of(1) == 3
         assert mapping.align_of(1) == 4
         assert mapping.align_of(2) == 5
-        assert adp_to_lce(mapping.source_digraph())[0] == graph
+        assert mapping.digraph == TWO_CYCLE
+        assert adp_to_lce(mapping.digraph)[0] == graph
 
     def test_sizes_random(self) -> None:
         rng = random.Random(78)
