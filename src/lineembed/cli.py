@@ -513,8 +513,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except MemoryError:
-        # The subset DP and the ADP gadget predict their size before
-        # allocating; this is the safety net for any other allocation.
+        # The subset DP and every reduction predict their size before
+        # allocating (core._refuse_over); this is the net for the rest.
         print("error: instance needs more memory than is available", file=sys.stderr)
         return 4
     except LineEmbedError as exc:

@@ -1,4 +1,4 @@
-"""Signed graphs and line-embedding verification.
+"""Signed graphs, line-embedding verification, and the memory rule.
 
 A signed graph has vertices 1..n and two disjoint sets of unordered edges,
 positive and negative.  An ordering pi of the vertices is a feasible line
@@ -13,24 +13,25 @@ from it by one of its negative neighbours.
 
 from __future__ import annotations
 
+import os
+import resource
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 import numpy as np
 
-from .errors import GraphError, OrderingError
+from .errors import CapExceededError, GraphError, OrderingError
 
 Edge = tuple[int, int]
 
 
-def _checked_pair(u: int, v: int, n: int, sign: str) -> Edge:
+def _checked_pair(u: int, v: int, n: int, sign: str) -> NoReturn:
     if not (1 <= u <= n and 1 <= v <= n):
         raise GraphError(f"{sign} edge ({u}, {v}) out of range 1..{n}")
-    if u == v:
-        raise GraphError(f"{sign} edge ({u}, {v}) is a loop")
-    return (u, v) if u < v else (v, u)
+    raise GraphError(f"{sign} edge ({u}, {v}) is a loop")
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ def build_signed_graph(
         u, v = pair
         e = (pair if type(pair) is tuple else (u, v)) if u < v else (v, u)
         if not 1 <= e[0] < e[1] <= n:
-            e = _checked_pair(u, v, n, "positive")
+            _checked_pair(u, v, n, "positive")
         if e in pos:
             raise GraphError(f"duplicate positive edge ({e[0]}, {e[1]})")
         pos.add(e)
@@ -149,7 +150,7 @@ def build_signed_graph(
         u, v = pair
         e = (pair if type(pair) is tuple else (u, v)) if u < v else (v, u)
         if not 1 <= e[0] < e[1] <= n:
-            e = _checked_pair(u, v, n, "negative")
+            _checked_pair(u, v, n, "negative")
         if e in neg:
             raise GraphError(f"duplicate negative edge ({e[0]}, {e[1]})")
         if e in pos:
@@ -344,3 +345,32 @@ def _first_violation(
         u2 = next(w for w in neg_nbrs if ru < rank[w] < best_pos)
         u1 = next(w for w in pos_nbrs if rank[w] > rank[u2])
     return Violation(u1=int(u1), u2=int(u2), u=u, side=side)
+
+
+def _available_bytes() -> int:
+    """The smaller of MemAvailable (physical memory where /proc/meminfo
+    cannot be read) and the address-space soft limit less the address space
+    the process already holds (/proc/self/statm, where it can be read)."""
+    try:
+        with open("/proc/meminfo") as info:
+            fields = dict(line.split(":", 1) for line in info)
+        have = int(fields["MemAvailable"].split()[0]) * 1024
+    except (OSError, KeyError, ValueError):
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY:
+        with suppress(OSError, ValueError), open("/proc/self/statm") as statm:
+            soft -= int(statm.read().partition(" ")[0]) * os.sysconf("SC_PAGE_SIZE")
+        have = min(have, max(soft, 0))
+    return have
+
+
+def _refuse_over(need: int, what: str, have: Optional[int] = None) -> None:
+    """Raise CapExceededError, the one memory refusal of the subset DP and
+    every reduction, when `need` bytes exceed `have` (_available_bytes())."""
+    have = _available_bytes() if have is None else have
+    if need > have:
+        raise CapExceededError(
+            f"{what} needs about {need / 2**20:,.0f} MB of memory, more than the "
+            f"{have / 2**20:,.0f} MB available"
+        )

@@ -658,22 +658,20 @@ def read_mapping(
     (stage, source instance, reduced instance, mapping).
 
     The first section's source (for the chain, the sat2ss formula) is reduced
-    again, once.  A text byte for byte its serialization is read only up to
-    the second header; in any other, the content lines, spacing normalized,
-    must be the serialization, and the first line that differs is the error."""
+    again.  A text byte for byte its serialization is read only up to the
+    second header; in any other, the content lines, spacing normalized, must
+    be the serialization, and the first line that differs is the error."""
     if isinstance(text, bytes):
         text = _decoded(text, source, 1)  # whole, to compare whole texts
     section, _, rest = text.partition("\np ")
     head, _, written = section.partition("\n")
     first = head[6:]
     stage = "sat2lce" if first == "sat2ss" and rest.startswith("map ss2adp\n") else first
-    done: dict = {}  # (stage, source instance) -> (reduced, mapping)
     try:
         instance = _SOURCES[first](list(enumerate(written.splitlines(), start=2)), source)
         reduced, mapping = stage_reductions()[stage](instance)
         if serialize_mapping(mapping) == text:
             return stage, instance, reduced, mapping
-        done[stage, instance] = reduced, mapping
     except (KeyError, LineEmbedError):
         pass
     # Strings, not token lists, which the garbage collector would scan.
@@ -697,8 +695,7 @@ def read_mapping(
     stage = first if len(stages) == 1 else "sat2lce"
     with _as_parse_error(source, hdr_no):
         instance = _SOURCES[first](body, source)
-        reduce = stage_reductions()[stage]
-        reduced, mapping = done.get((stage, instance)) or reduce(instance)
+        reduced, mapping = stage_reductions()[stage](instance)
     # None stands for the end of the mapping, so a short or long file differs.
     want = serialize_mapping(mapping).split("\n")[:-1] + [None]
     got = [line for _, line in lines] + [None]

@@ -16,9 +16,13 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import Ordering, SignedGraph, _build_from_arrays, _pair_array
+from .core import Ordering, SignedGraph, _build_from_arrays, _pair_array, _refuse_over
 from .errors import CapExceededError, ReductionError, SelfLoopError
-from .solvers import _available_bytes
+
+# Peak bytes per item of each forward map, refused before it is built:
+# tracemalloc read at most 67 per element and membership (sat_to_setsplitting),
+# 96 per vertex, arc and membership (setsplitting_to_adp), 81 per gadget edge.
+_BYTES_PER_ITEM = 96
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +286,9 @@ def sat_to_setsplitting(cnf: CnfFormula) -> tuple[SetSystem, SatToSsMapping]:
     element.  |U| = 2n+1 and total membership is 2n + sum(|C|+1)."""
     mapping = SatToSsMapping(cnf)
     special = mapping.special
+    members = 2 * cnf.num_vars + len(cnf.clauses) + sum(map(len, cnf.clauses))
+    what = f"the set system of {special} elements and {members} memberships"
+    _refuse_over(_BYTES_PER_ITEM * (special + members), what)
     sets: list[tuple[int, ...]] = [
         (2 * i - 1, 2 * i) for i in range(1, cnf.num_vars + 1)
     ]
@@ -359,7 +366,9 @@ def setsplitting_to_adp(sys: SetSystem) -> tuple[Digraph, SsToAdpMapping]:
 
     |V| = |U| + total membership, |A| = 3 * total membership.
     """
-    u_count = sys.universe_size
+    u_count, m = sys.universe_size, sum(map(len, sys.sets))
+    what = f"the digraph of {u_count + m} vertices and {3 * m} arcs"
+    _refuse_over(_BYTES_PER_ITEM * (u_count + 5 * m), what)
     of_elem: list[list[int]] = [[] for _ in range(u_count + 1)]
     arcs: list[tuple[int, int]] = []
     nxt = u_count + 1
@@ -426,11 +435,6 @@ class AdpToLceMapping:
         return 1 + len(self.digraph.arcs) + v
 
 
-# Peak bytes per gadget edge of adp_to_lce: tracemalloc read 50-81 on
-# digraphs of 10 to 100,000 vertices and 0 to 100,000 arcs.
-_GADGET_BYTES_PER_EDGE = 96
-
-
 def adp_to_lce(digraph: Digraph) -> tuple[SignedGraph, AdpToLceMapping]:
     """Checker vertices tie the special vertex to arc sources positively and
     to arc targets negatively; alignment vertices repel the special vertex.
@@ -439,8 +443,8 @@ def adp_to_lce(digraph: Digraph) -> tuple[SignedGraph, AdpToLceMapping]:
     the same alignment vertex) and raises SelfLoopError; such digraphs have
     no acyclic partition anyway.  |V'| = |V| + |A| + 1, |E+| = 2|A|,
     |E-| = |A| + |V|.  A gadget of 2^31 or more vertices, or one whose
-    arrays are predicted not to fit in the memory the subset DP may use,
-    raises CapExceededError before any array is built.
+    arrays are predicted not to fit in the available memory, raises
+    CapExceededError before any array is built.
     """
     for a, b in digraph.arcs:
         if a == b:
@@ -451,13 +455,8 @@ def adp_to_lce(digraph: Digraph) -> tuple[SignedGraph, AdpToLceMapping]:
     size, rows = 1 + m + digraph.n, 3 * m + digraph.n
     if size >= 2**31:
         raise CapExceededError(f"the gadget would have {size} vertices, over 2^31 - 1")
-    need, have = _GADGET_BYTES_PER_EDGE * rows, _available_bytes()
-    if need > have:
-        raise CapExceededError(
-            f"the gadget would have {size} vertices and {rows} edges, about "
-            f"{need / 2**20:,.0f} MB of arrays, more than the "
-            f"{have / 2**20:,.0f} MB available"
-        )
+    what = f"the gadget would have {size} vertices and {rows} edges; it"
+    _refuse_over(_BYTES_PER_ITEM * rows, what)
     # Per arc, rows (s, c) and (c, align a) positive and (c, align b)
     # negative, then (s, align v) per vertex: each with u < v, as s = 1 <
     # checker 2 + idx < alignment 1 + m + v.

@@ -25,14 +25,11 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
-import resource
-from contextlib import suppress
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import Graph, Ordering, SignedGraph
+from .core import Graph, Ordering, SignedGraph, _available_bytes, _refuse_over
 from .errors import CapExceededError
 
 BRUTE_FORCE_CAP = 10
@@ -166,24 +163,6 @@ def _frontier_bad_masks(
     return bad
 
 
-def _available_bytes() -> int:
-    """The smaller of MemAvailable (physical memory where /proc/meminfo
-    cannot be read) and the address-space soft limit less the address space
-    the process already holds (/proc/self/statm, where it can be read)."""
-    try:
-        with open("/proc/meminfo") as info:
-            fields = dict(line.split(":", 1) for line in info)
-        have = int(fields["MemAvailable"].split()[0]) * 1024
-    except (OSError, KeyError, ValueError):
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-    if soft != resource.RLIM_INFINITY:
-        with suppress(OSError, ValueError), open("/proc/self/statm") as statm:
-            soft -= int(statm.read().partition(" ")[0]) * os.sysconf("SC_PAGE_SIZE")
-        have = min(have, max(soft, 0))
-    return have
-
-
 # Peak bytes of one frontier step, an upper bound fitted to tracemalloc
 # peaks on negative paths (n = 16..64), sparse random graphs and the dp-20
 # benchmark instances: per frontier set (its free and bad masks), per set of
@@ -291,12 +270,7 @@ def _frontier_layers(
     for k in range(size):
         held += sum(a.nbytes for a in layers[-1])
         need = held + _step_bytes(len(sets), len(witnesses[0]), size, k)
-        if need > have:
-            raise CapExceededError(
-                f"a {size}-vertex component: subset DP layer {k + 1} needs about "
-                f"{need / 2**20:,.0f} MB of memory, more than the "
-                f"{have / 2**20:,.0f} MB available"
-            )
+        _refuse_over(need, f"a {size}-vertex component: subset DP layer {k + 1}", have)
         free = full & ~sets & ~_frontier_bad_masks(sets, *witnesses)
         sets, last = _next_layer(sets, free, bits)
         if len(sets) == 0:

@@ -7,10 +7,12 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import lineembed.cli
 import lineembed.core
 import lineembed.formats
 import lineembed.intervals
@@ -121,6 +123,24 @@ class TestSolve:
         inst = write(tmp_path, "claw.sg", CLAW_TEXT)
         rc, _, err = run(capsys, "solve", inst, "--model", str(tmp_path / "m"))
         assert rc == 2 and "error" in err
+
+    def test_model_needs_a_complete_graph(self, tmp_path, capsys) -> None:
+        inst = write(tmp_path, "inc.sg", SPARSE_TEXT)
+        model = tmp_path / "m"
+        rc, out, err = run(capsys, "solve", inst, "--model", str(model))
+        assert (rc, out) == (2, "") and not model.exists()
+        assert err == "error: --model needs a complete signed graph\n"
+
+    def test_memory_error_is_caught(self, tmp_path, capsys, monkeypatch) -> None:
+        """An allocation that no prediction refused still exits 4 with one
+        line, the safety net of main."""
+        def exhausted(text, source=None):
+            raise MemoryError
+
+        monkeypatch.setattr(lineembed.cli, "parse_signed_graph", exhausted)
+        rc, out, err = run(capsys, "solve", write(tmp_path, "p3.sg", P3_TEXT))
+        assert (rc, out) == (4, "")
+        assert err == "error: instance needs more memory than is available\n"
 
     def test_complete_algo_needs_complete_graph(self, tmp_path, capsys) -> None:
         inst = write(tmp_path, "path.sg", "p sg 3 1 0\ne + 1 2\n")
@@ -288,6 +308,13 @@ class TestVerify:
         rc, out, _ = run(capsys, "verify", inst, bad)
         assert rc == 1 and "cycle" in out
 
+    def test_partition_with_a_repeated_part_line(self, tmp_path, capsys) -> None:
+        inst = write(tmp_path, "d.dg", TWO_CYCLE_TEXT)
+        cert = write(tmp_path, "c.cert", "part 1 1\npart 1 2\npart 2\n")
+        rc, out, err = run(capsys, "verify", inst, cert)
+        assert (rc, out) == (3, "") and err.count("\n") == 1
+        assert err.startswith("error: ") and "duplicate 'part 1' line" in err
+
     def test_partition_size_mismatch(self, tmp_path, capsys) -> None:
         inst = write(tmp_path, "d.dg", TWO_CYCLE_TEXT)
         cert = write(tmp_path, "c.cert", "part 1 1\npart 2 2 3\n")
@@ -405,6 +432,31 @@ class TestReduce:
         inst = write(tmp_path, "d.dg", TWO_CYCLE_TEXT)
         rc, _, err = run(capsys, "reduce", "sat2ss", inst)
         assert rc == 2 and "cnf" in err
+
+    def test_negative_universe(self, tmp_path, capsys) -> None:
+        inst = write(tmp_path, "neg.ss", "p ss -1 0\n")
+        rc, out, err = run(capsys, "reduce", "ss2adp", inst)
+        assert (rc, out) == (3, "") and err.count("\n") == 1
+        assert err.startswith("error: ") and "universe size -1 is negative" in err
+
+    @pytest.mark.parametrize(
+        "stage, text",
+        [
+            ("sat2ss", "p cnf 99999999999999999999 1\n1 0\n"),
+            ("sat2lce", "p cnf 99999999999999999999 1\n1 0\n"),
+            ("ss2adp", "p ss 99999999999999999999 1\ns 1 1\n"),
+        ],
+        ids=["sat2ss", "sat2lce", "ss2adp"],
+    )
+    def test_huge_header_refused_before_building(self, tmp_path, stage, text) -> None:
+        """Set splitting and the ADP digraph are sized before they are built:
+        exit 4 naming the memory available.  Fails if the MemoryError safety
+        net is what stops the reduction."""
+        inst = write(tmp_path, "huge.txt", text)
+        proc = run_under_limit(AS_LIMIT, "reduce", stage, inst)
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert "MB available" in proc.stderr and "than is available" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("n", ["99999999999999999999", "2147483647"])
     def test_gadget_of_2_31_vertices_refused(self, tmp_path, n) -> None:
@@ -752,6 +804,20 @@ class TestCertificateChecks:
         assert "clause 1 is falsified" in proc.stderr
         assert proc.stdout == ""
         assert not out.exists()
+
+    def test_check_that_raises_exits_five(self, tmp_path, capsys, monkeypatch) -> None:
+        """A produced certificate whose check raises, not returning a reason
+        (a model of one vertex too few), is refused through the same exit 5."""
+        def one_short(g, ordering):
+            return IntervalModel({v: (Fraction(v), Fraction(v)) for v in ordering.seq[1:]})
+
+        monkeypatch.setattr(lineembed.cli, "ordering_to_model", one_short)
+        inst = write(tmp_path, "p3.sg", P3_TEXT)
+        model = tmp_path / "m"
+        rc, out, err = run(capsys, "solve", inst, "--model", str(model))
+        assert (rc, out) == (5, "") and not model.exists()
+        assert err.count("\n") == 1 and "interval model certificate" in err
+        assert "model covers 2 vertices, instance has 3" in err
 
     # (verify_embedding calls, is_umbrella_ordering calls) of one solve.  The
     # ordering's certificate check (the `o` check, or ordering_to_model with

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import random
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from lineembed.reductions import (
     stage_reductions,
 )
 
-from test_cli import run_python
+from test_cli import AS_LIMIT, AS_LIMITED_CLI, run_python
 
 CNF_TEXT = "p cnf 3 2\n1 -2 0\n2 3 0\n"
 SS_TEXT = "p ss 3 2\ns 2 1 2\ns 2 2 3\n"
@@ -190,4 +191,48 @@ def test_mutated_input_under_python_o(tmp_path) -> None:
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         failed = [said for said in pool.map(run_case, range(len(OPTIMIZED_CASES))) if said]
+    assert not failed, "\n".join(failed)
+
+
+# Each count of each instance header set to 20 digits, one at a time, for
+# every `reduce` stage that reads that kind.
+HUGE = "99999999999999999999"
+
+
+def with_huge_field(text: str, i: int) -> str:
+    """text with field i of its header line (field 0 is `p`) made HUGE."""
+    header, rest = text.split("\n", 1)
+    fields = header.split()
+    fields[i] = HUGE
+    return " ".join(fields) + "\n" + rest
+
+
+HEADER_CASES = [
+    (stage, with_huge_field(text, i))
+    for stages, text in [
+        (("sat2ss", "sat2lce"), CNF_TEXT), (("ss2adp",), SS_TEXT), (("adp2lce",), DG_TEXT),
+    ]
+    for i in (2, 3)
+    for stage in stages
+]
+
+
+def test_huge_header_counts_under_python_o(tmp_path) -> None:
+    """Fails if a fresh `python -O` interpreter under the refusal tests'
+    address-space limit prints a traceback, exits outside 0-4, or takes half
+    the 60 s command timeout on any case."""
+
+    def run_case(k: int) -> str:
+        stage, text = HEADER_CASES[k]
+        path = tmp_path / f"{k}.txt"
+        path.write_text(text)
+        start = time.perf_counter()
+        proc = run_python(["-O"], "-c", AS_LIMITED_CLI, str(AS_LIMIT), "reduce", stage, str(path))
+        took = time.perf_counter() - start
+        if proc.returncode in range(5) and "Traceback" not in proc.stderr and took < 30:
+            return ""
+        return f"reduce {stage} on {text!r}: exit {proc.returncode} in {took:.1f} s, {proc.stderr}"
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        failed = [said for said in pool.map(run_case, range(len(HEADER_CASES))) if said]
     assert not failed, "\n".join(failed)

@@ -10,6 +10,7 @@ import pytest
 
 from lineembed.core import (
     Ordering,
+    SignedGraph,
     Violation,
     build_signed_graph,
     is_complete,
@@ -97,6 +98,20 @@ class TestConstruction:
         assert gp.edges == {(1, 2), (2, 3)}
         assert gp.adj[2] == (1, 3)
 
+    def test_equality_with_a_non_graph_is_not_implemented(self) -> None:
+        assert P3.__eq__((3, P3.pos, P3.neg)) is NotImplemented
+        assert P3 != (3, P3.pos, P3.neg)
+
+    def test_hash_is_the_same_in_every_form(self) -> None:
+        """One complete graph held as edge sets, as (m, 2) arrays and in
+        complement form (G+ alone): equal, with one hash."""
+        arrays = SignedGraph(
+            3, np.array([[2, 3], [1, 2]], np.int64), np.array([[1, 3]], np.int64)
+        )
+        complement = SignedGraph(3, frozenset({(1, 2), (2, 3)}))
+        for g in (arrays, complement):
+            assert g == P3 and hash(g) == hash(P3)
+
 
 class TestOrdering:
     def test_round_trip(self) -> None:
@@ -117,6 +132,12 @@ class TestOrdering:
 
 
 class TestVerify:
+    def test_truth_value_is_validity(self) -> None:
+        results = [verify_embedding(P3, Ordering.from_seq(seq))
+                   for seq in itertools.permutations((1, 2, 3))]
+        assert {r.valid for r in results} == {True, False}
+        assert all(bool(r) == r.valid for r in results)
+
     def test_p3_valid(self) -> None:
         assert verify_embedding(P3, Ordering.from_seq([1, 2, 3])).valid
 

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lineembed import solvers
+from lineembed import core, solvers
 
 from lineembed.core import Graph, Ordering, build_signed_graph, verify_embedding
 from lineembed.errors import CapExceededError, GraphError
@@ -269,7 +269,7 @@ class TestTableSize:
         """Fails if the refusal compares with total physical memory where
         /proc/meminfo says how much is available."""
         meminfo = "MemTotal:  8000000 kB\nMemAvailable:  1234 kB\nCached: 5 kB\n"
-        monkeypatch.setattr(solvers, "open", lambda path: io.StringIO(meminfo), raising=False)
+        monkeypatch.setattr(core, "open", lambda path: io.StringIO(meminfo), raising=False)
         assert solvers._available_bytes() == 1234 * 1024
 
     def test_available_memory_under_address_space_limit(self, monkeypatch) -> None:
@@ -288,10 +288,10 @@ class TestTableSize:
                 raise FileNotFoundError(path)
             return io.StringIO(files[path])
 
-        monkeypatch.setattr(solvers, "open", read, raising=False)
+        monkeypatch.setattr(core, "open", read, raising=False)
         soft = 256 * 2**20
-        limits = (soft, solvers.resource.RLIM_INFINITY)
-        monkeypatch.setattr(solvers.resource, "getrlimit", lambda which: limits)
+        limits = (soft, core.resource.RLIM_INFINITY)
+        monkeypatch.setattr(core.resource, "getrlimit", lambda which: limits)
         assert solvers._available_bytes() == soft - held * page
         files["/proc/self/statm"] = f"{300 * 2**20 // page} 0 0 0 0 0 0\n"
         assert solvers._available_bytes() == 0
@@ -302,7 +302,7 @@ class TestTableSize:
         def unreadable(path):
             raise OSError(path)
 
-        monkeypatch.setattr(solvers, "open", unreadable, raising=False)
+        monkeypatch.setattr(core, "open", unreadable, raising=False)
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         assert 0 < solvers._available_bytes() <= physical
 
