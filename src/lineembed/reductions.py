@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import Ordering, SignedGraph, _build_from_arrays, _pair_array, _refuse_over
+from .core import Ordering, SignedGraph, _pair_array, _refuse_over
 from .errors import CapExceededError, ReductionError, SelfLoopError
 
 # Peak bytes per item of each forward map, refused before it is built:
@@ -145,17 +145,9 @@ class Digraph:
 
 
 def build_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
-    """Range and repeated arcs are tested in one numpy pass over the sorted
-    keys a*(n+1)+b, as in core._build_from_arrays; the arcs are walked in
-    order only to name the first offender when that pass fails."""
     if n < 0:
         raise ReductionError(f"vertex count {n} is negative")
     out = tuple(arcs)
-    pairs = _pair_array(out)
-    if n < 2**31 and pairs.dtype == np.int64 and ((pairs >= 1) & (pairs <= n)).all():
-        keys = np.sort(pairs[:, 0] * (n + 1) + pairs[:, 1])
-        if not (keys[1:] == keys[:-1]).any():
-            return Digraph(n, out)
     seen = set()
     for a, b in out:
         if not (1 <= a <= n and 1 <= b <= n):
@@ -289,13 +281,11 @@ def sat_to_setsplitting(cnf: CnfFormula) -> tuple[SetSystem, SatToSsMapping]:
     members = 2 * cnf.num_vars + len(cnf.clauses) + sum(map(len, cnf.clauses))
     what = f"the set system of {special} elements and {members} memberships"
     _refuse_over(_BYTES_PER_ITEM * (special + members), what)
-    sets: list[tuple[int, ...]] = [
-        (2 * i - 1, 2 * i) for i in range(1, cnf.num_vars + 1)
-    ]
+    sets = [(2 * i - 1, 2 * i) for i in range(1, cnf.num_vars + 1)]
     for clause in cnf.clauses:
-        members = sorted({mapping.element_of(lit) for lit in clause} | {special})
-        sets.append(tuple(members))
-    return build_set_system(special, sets, special=special), mapping
+        elems = {mapping.element_of(lit) for lit in clause} | {special}
+        sets.append(tuple(sorted(elems)))
+    return SetSystem(special, tuple(sets), special), mapping
 
 
 def sat_solution_to_setsplitting(
@@ -382,8 +372,7 @@ def setsplitting_to_adp(sys: SetSystem) -> tuple[Digraph, SsToAdpMapping]:
         for c in of_elem[elem]:
             arcs.append((elem, c))
             arcs.append((c, elem))
-    mapping = SsToAdpMapping(SetSystem(u_count, sys.sets))
-    return build_digraph(nxt - 1, arcs), mapping
+    return Digraph(nxt - 1, tuple(arcs)), SsToAdpMapping(SetSystem(u_count, sys.sets))
 
 
 def setsplitting_solution_to_adp(
@@ -466,7 +455,7 @@ def adp_to_lce(digraph: Digraph) -> tuple[SignedGraph, AdpToLceMapping]:
     align_v = np.arange(1, digraph.n + 1) + (1 + m)
     s_align = np.column_stack((np.ones_like(align_v), align_v))
     neg = np.concatenate((np.column_stack((c, align[:, 1])), s_align))
-    return _build_from_arrays(1 + m + digraph.n, pos, neg), AdpToLceMapping(digraph)
+    return SignedGraph(1 + m + digraph.n, pos, neg), AdpToLceMapping(digraph)
 
 
 def adp_solution_to_lce_ordering(

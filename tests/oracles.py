@@ -331,7 +331,7 @@ def build_signed_graph_by_pairs(n, positive, negative):
 
 def build_digraph_by_arcs(n, arcs):
     """The digraph constructor that tests each arc in turn, kept as the
-    reference for the package's numpy pass."""
+    reference for the package's build_digraph."""
     if n < 0:
         raise ReductionError(f"vertex count {n} is negative")
     seen = set()

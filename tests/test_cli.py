@@ -210,6 +210,28 @@ class TestSolve:
         assert proc.returncode == 4 and proc.stdout == ""
         assert "memory" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "n, algo, cap, expected",
+        [
+            (2000, "brute", 5000, "recursion reach"),
+            (100000000, "brute", 200000000, "recursion reach"),
+            (100000000, "dp", 200000000, "MB available"),
+        ],
+        ids=["brute-2000", "brute-10^8", "dp-10^8"],
+    )
+    def test_raised_cap_refused_in_a_fresh_process(
+        self, tmp_path, n, algo, cap, expected
+    ) -> None:
+        """A --cap above what the solver can reach is refused: exit 4 and a
+        one-line error.  Fails if the brute force recursion ends in a
+        RecursionError traceback (exit 1), or if either solver builds its
+        per-vertex lists first and ends in the MemoryError net."""
+        inst = write(tmp_path, "edgeless.sg", f"p sg {n} 0 0\n")
+        proc = run_under_limit(AS_LIMIT, "solve", "--algo", algo, "--cap", str(cap), inst)
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert expected in proc.stderr and "than is available" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
     def test_many_components_solve(self, tmp_path, capsys) -> None:
         # 60 isolated vertices: 60 one-vertex frontiers, not a 2^60 table.
         inst = write(tmp_path, "edgeless.sg", "p sg 60 0 0\n")

@@ -364,7 +364,7 @@ class TestBench:
             neg = _local_masks(verts, Graph(n, g.neg).adj)
             assert _components(n, Graph(n, g.pos | g.neg).adj) == [list(verts)]
             assert not any(p and q for p, q in zip(pos, neg))
-            layers = _frontier_layers(pos, neg, [], 2**40)
+            layers = _frontier_layers(pos, neg, 0, 2**40)
             sizes = [len(sets) for sets, _ in layers]
             assert sizes == [math.comb(n, k) for k in range(n + 1)]
 

@@ -3,7 +3,9 @@ text format round trip, the signed-graph parser against the per-line
 reference parser, the array constructor against build_signed_graph and
 both graph forms' text, build_signed_graph against its per-pair copy on
 pairs of every form, the digraph constructor against its per-arc
-reference, the frontier subset DP against the full table, the mapping
+reference, each forward reduction's output against its validating builder,
+the ADP gadget's feasibility against the digraph's acyclic partitions, the
+frontier subset DP against the full table, the mapping
 text format of every reduction stage and of the chain, read against the
 per-line reference reader, and the text round trip of every other instance
 and certificate kind.
@@ -55,11 +57,14 @@ from lineembed.intervals import IntervalModel
 from lineembed.reductions import (
     Assignment,
     SplitterSolution,
+    adp_solution_to_lce_ordering,
     adp_to_lce,
+    adp_violation,
     build_cnf,
     build_digraph,
     build_partition,
     build_set_system,
+    lift_lce_to_adp,
     sat_to_lce,
     sat_to_setsplitting,
     setsplitting_to_adp,
@@ -73,6 +78,7 @@ from oracles import (
     parse_signed_graph_by_lines,
     reachability_table,
     read_mapping_by_lines,
+    solve_adp_bruteforce,
     table_ordering,
 )
 from test_core import assert_matches_naive
@@ -369,8 +375,8 @@ def digraph_outcome(build, n, arcs):
 @settings(DETERMINISTIC, max_examples=1000)
 @given(arc_lists())
 def test_digraph_constructor_matches_per_arc_reference(case) -> None:
-    """Fails if build_digraph's numpy pass lets a repeated or out-of-range
-    arc through, or names another offender than the first in arc order."""
+    """Fails if build_digraph lets a repeated or out-of-range arc through,
+    or names another offender than the first in arc order."""
     assert digraph_outcome(build_digraph, *case) == digraph_outcome(
         build_digraph_by_arcs, *case
     )
@@ -396,11 +402,56 @@ def set_systems(draw):
 
 
 @st.composite
-def loopless_digraphs(draw):
-    n = draw(st.integers(0, 5))
+def loopless_digraphs(draw, max_n=5, max_arcs=6):
+    n = draw(st.integers(0, max_n))
     pairs = list(itertools.permutations(range(1, n + 1), 2))
-    chosen = draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True)) if pairs else []
-    return build_digraph(n, chosen)
+    arcs = st.lists(st.sampled_from(pairs), max_size=max_arcs, unique=True)
+    return build_digraph(n, draw(arcs) if pairs else [])
+
+
+# The reduction chain builds its instances without the validating builders,
+# so each forward map's output must be what the builder makes of its fields.
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(cnfs())
+def test_sat_to_setsplitting_builds_a_valid_set_system(cnf) -> None:
+    """Fails if a clause set is not stored ascending."""
+    sys, _ = sat_to_setsplitting(cnf)
+    assert sys == build_set_system(sys.universe_size, sys.sets, special=sys.special)
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(st.one_of(set_systems(), cnfs().map(lambda cnf: sat_to_setsplitting(cnf)[0])))
+def test_setsplitting_to_adp_builds_a_valid_digraph(sys) -> None:
+    """Fails if an element arc is appended twice."""
+    digraph, _ = setsplitting_to_adp(sys)
+    assert digraph == build_digraph(digraph.n, digraph.arcs)
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(loopless_digraphs())
+def test_adp_to_lce_builds_a_valid_gadget(digraph) -> None:
+    """Fails if a gadget row is written as (v, u) with u < v."""
+    g, _ = adp_to_lce(digraph)
+    assert g == _build_from_arrays(g.n, g.pos_array, g.neg_array)
+
+
+# Digraphs whose gadgets, V + A + 1 <= 18 vertices, the subset DP solves.
+SMALL_GADGETS = st.integers(0, 7).flatmap(lambda n: loopless_digraphs(n, 17 - n))
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(SMALL_GADGETS)
+def test_adp_gadget_feasible_exactly_when_digraph_partitions(digraph) -> None:
+    """The gadget has a feasible ordering exactly when the digraph has an
+    acyclic partition; each side's certificate maps to the other's."""
+    g, mapping = adp_to_lce(digraph)
+    ordering, part = solve_subset_dp(g), solve_adp_bruteforce(digraph)
+    assert (ordering is None) == (part is None)
+    if part is not None:
+        assert adp_violation(digraph, lift_lce_to_adp(ordering, mapping)) is None
+        assert verify_embedding(g, adp_solution_to_lce_ordering(part, mapping))
 
 
 # One strategy per stage and one for the chain, each giving the mapping

@@ -7,6 +7,9 @@ import itertools
 import math
 import os
 import random
+import re
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -139,6 +142,16 @@ class TestBruteforce:
             solve_bruteforce(g)
         assert solve_bruteforce(g, cap=11) is not None
 
+    def test_recursion_reach(self) -> None:
+        """An n the search's recursion cannot reach is refused as over a cap,
+        and the reach it names is solved.  Fails if the refusal is dropped
+        (RecursionError) or the reach it names is too large."""
+        g = build_signed_graph(sys.getrecursionlimit(), [], [])
+        with pytest.raises(CapExceededError, match="recursion reach") as caught:
+            solve_bruteforce(g, cap=g.n)
+        reach = int(re.search(r"reach (\d+)", str(caught.value))[1])
+        assert solve_bruteforce(build_signed_graph(reach, [], []), cap=reach) is not None
+
     def test_exhaustive_equals_enumeration(self) -> None:
         # Pruned search returns exactly the first feasible permutation.
         for n in range(5):
@@ -181,6 +194,15 @@ class TestSubsetDP:
         with pytest.raises(CapExceededError):
             solve_subset_dp(g, cap=11)
         assert solve_subset_dp(g, cap=12) is not None
+
+    def test_many_components_linear(self) -> None:
+        """6,000 one-vertex components solve in under 3 s.  Fails if each
+        component re-sums the layers of every earlier one, which took about
+        6 s."""
+        start = time.perf_counter()
+        got = solve_subset_dp(build_signed_graph(6000, [], []), cap=6000)
+        assert time.perf_counter() - start < 3
+        assert got.seq == tuple(range(6000, 0, -1))
 
     def test_deterministic(self) -> None:
         rng = random.Random(8)
