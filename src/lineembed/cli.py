@@ -91,13 +91,15 @@ def _emit(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text)
 
 
-def _cert_kind(data: bytes, source: str) -> str:
+def _cert_kind(data: bytes, source: str, empty: Optional[str] = None) -> str:
+    """The kind its first content line names, or `empty` when it has none."""
     first = next(_content_lines(data, source), None)
-    if first is None:
+    kind = empty if first is None else first[1][0]
+    if kind is None:
         raise ParseError("empty certificate", source)
-    if first[1][0] not in _certs():
-        raise ParseError(f"unknown certificate line kind {first[1][0]!r}", source)
-    return first[1][0]
+    if kind not in _certs():
+        raise ParseError(f"unknown certificate line kind {kind!r}", source)
+    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +297,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     inst_data, inst_source = _read(args.instance)
     cert_data, cert_source = _read(args.cert)
     kind = instance_kind(inst_data, inst_source)
-    cert = _cert_kind(cert_data, cert_source)
+    # A certificate with no content line is the empty model of an sg instance.
+    cert = _cert_kind(cert_data, cert_source, "i" if kind == "sg" else None)
     spec = _certs()[cert]
     if kind != spec.instance:
         raise UsageError(

@@ -137,25 +137,19 @@ def build_signed_graph(
         raise GraphError(f"vertex count {n} is negative")
     # The range and loop tests run inline; _checked_pair names the offender.
     pos: set[Edge] = set()
-    for pair in positive:
-        u, v = pair
-        e = (pair if type(pair) is tuple else (u, v)) if u < v else (v, u)
-        if not 1 <= e[0] < e[1] <= n:
-            _checked_pair(u, v, n, "positive")
-        if e in pos:
-            raise GraphError(f"duplicate positive edge ({e[0]}, {e[1]})")
-        pos.add(e)
     neg: set[Edge] = set()
-    for pair in negative:
-        u, v = pair
-        e = (pair if type(pair) is tuple else (u, v)) if u < v else (v, u)
-        if not 1 <= e[0] < e[1] <= n:
-            _checked_pair(u, v, n, "negative")
-        if e in neg:
-            raise GraphError(f"duplicate negative edge ({e[0]}, {e[1]})")
-        if e in pos:
-            raise GraphError(f"edge ({e[0]}, {e[1]}) appears with both signs")
-        neg.add(e)
+    signs = (("positive", positive, pos, ()), ("negative", negative, neg, pos))
+    for sign, pairs, edges, other in signs:
+        for pair in pairs:
+            u, v = pair
+            e = (pair if type(pair) is tuple else (u, v)) if u < v else (v, u)
+            if not 1 <= e[0] < e[1] <= n:
+                _checked_pair(u, v, n, sign)
+            if e in edges:
+                raise GraphError(f"duplicate {sign} edge ({e[0]}, {e[1]})")
+            if e in other:
+                raise GraphError(f"edge ({e[0]}, {e[1]}) appears with both signs")
+            edges.add(e)
     return SignedGraph(n, frozenset(pos), frozenset(neg))
 
 

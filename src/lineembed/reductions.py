@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .core import Ordering, SignedGraph, _pair_array, _refuse_over
-from .errors import CapExceededError, ReductionError, SelfLoopError
+from .errors import ReductionError, SelfLoopError
 
 # Peak bytes per item of each forward map, refused before it is built:
 # tracemalloc read at most 67 per element and membership (sat_to_setsplitting),
@@ -431,9 +431,10 @@ def adp_to_lce(digraph: Digraph) -> tuple[SignedGraph, AdpToLceMapping]:
     A self-loop cannot be encoded (its checker would need both signs toward
     the same alignment vertex) and raises SelfLoopError; such digraphs have
     no acyclic partition anyway.  |V'| = |V| + |A| + 1, |E+| = 2|A|,
-    |E-| = |A| + |V|.  A gadget of 2^31 or more vertices, or one whose
-    arrays are predicted not to fit in the available memory, raises
-    CapExceededError before any array is built.
+    |E-| = |A| + |V|, the paper's counts, which benchmark/checks.py checks:
+    no digraph on 1-3 vertices (gadget of at most 9) needs edges (s, align v).
+    A gadget whose arrays are predicted not to fit in the available memory
+    raises CapExceededError before any array is built.
     """
     for a, b in digraph.arcs:
         if a == b:
@@ -442,8 +443,6 @@ def adp_to_lce(digraph: Digraph) -> tuple[SignedGraph, AdpToLceMapping]:
             )
     m = len(digraph.arcs)
     size, rows = 1 + m + digraph.n, 3 * m + digraph.n
-    if size >= 2**31:
-        raise CapExceededError(f"the gadget would have {size} vertices, over 2^31 - 1")
     what = f"the gadget would have {size} vertices and {rows} edges; it"
     _refuse_over(_BYTES_PER_ITEM * rows, what)
     # Per arc, rows (s, c) and (c, align a) positive and (c, align b)

@@ -312,6 +312,37 @@ class TestVerify:
         rc, _, _ = run(capsys, "verify", inst, cert)
         assert rc == 3
 
+    def test_empty_graph_model_round_trip(self, tmp_path, capsys) -> None:
+        """solve --model on the 0-vertex graph writes the empty model, and
+        verify accepts it.  Fails if verify reads the certificate's kind
+        from a first line that the empty model does not have."""
+        inst = write(tmp_path, "e.sg", "p sg 0 0 0\n")
+        model = str(tmp_path / "e.model")
+        assert run(capsys, "solve", inst, "--model", model)[:2] == (0, "o\n")
+        assert Path(model).read_text() == "\n"
+        assert run(capsys, "verify", inst, model)[:2] == (0, "VALID\n")
+
+    @pytest.mark.parametrize("text", ["", "c no content line\n"])
+    def test_empty_certificate_for_a_3_vertex_graph(self, tmp_path, capsys, text) -> None:
+        """Read as the empty model, a certificate with no content line does
+        not fit a 3-vertex instance: exit 3 on one line."""
+        inst = write(tmp_path, "p3.sg", P3_TEXT)
+        cert = write(tmp_path, "empty.cert", text)
+        rc, out, err = run(capsys, "verify", inst, cert)
+        assert (rc, out) == (3, "") and err.count("\n") == 1
+        assert "model covers 0 vertices, instance has 3" in err
+
+    def test_empty_certificate_for_other_kinds(self, tmp_path, capsys) -> None:
+        """Only an sg instance reads an empty certificate as a model: verify
+        against a digraph, and lift, still refuse it as empty."""
+        inst = write(tmp_path, "d.dg", TWO_CYCLE_TEXT)
+        mapping = str(tmp_path / "g.map")
+        assert run(capsys, "reduce", "adp2lce", inst, "--map", mapping)[0] == 0
+        cert = write(tmp_path, "empty.cert", "")
+        for argv in (("verify", inst, cert), ("lift", mapping, cert)):
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out) == (3, "") and "empty certificate" in err
+
     def test_splitter(self, tmp_path, capsys) -> None:
         inst = write(tmp_path, "s.ss", "p ss 3 2\ns 2 1 2\ns 2 2 3\n")
         good = write(tmp_path, "good.cert", "x 2\n")
@@ -482,9 +513,10 @@ class TestReduce:
 
     @pytest.mark.parametrize("n", ["99999999999999999999", "2147483647"])
     def test_gadget_of_2_31_vertices_refused(self, tmp_path, n) -> None:
-        """1 + A + V vertices of 2^31 or more cannot be keyed: exit 4 before
-        any array is built.  Fails if numpy is asked for the vertex range,
-        which raises ValueError on the first and needs 16 GB on the second."""
+        """A gadget of 1 + A + V vertices, 2^31 or more, is predicted not to
+        fit in memory: exit 4 before any array is built.  Fails if numpy is
+        asked for the vertex range, which raises ValueError on the first and
+        needs 16 GB on the second."""
         inst = write(tmp_path, "big.dg", f"p dg {n} 0\n")
         proc = run_under_limit(AS_LIMIT, "reduce", "adp2lce", inst)
         assert proc.returncode == 4 and proc.stdout == ""
