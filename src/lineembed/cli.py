@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .bench import run_bench
 from .core import is_complete, positive_part
 from .errors import (
     CapExceededError,
@@ -57,14 +56,10 @@ from .intervals import ordering_violation, solve_complete
 from .reductions import (
     adp_violation,
     falsified_clause,
-    lift_adp_to_setsplitting,
-    lift_lce_to_adp,
-    lift_lce_to_sat,
-    lift_setsplitting_to_sat,
     stage_reductions,
     unsplit_set_index,
 )
-from .solvers import solve_bruteforce, solve_subset_dp
+from .solvers import run_bench, solve_bruteforce, solve_subset_dp
 
 
 class UsageError(LineEmbedError):
@@ -88,7 +83,10 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
 def _cert_kind(data: bytes, source: str, empty: Optional[str] = None) -> str:
@@ -212,21 +210,13 @@ def _certs() -> dict[str, _CertKind]:
     }
 
 
-class _Stage(NamedTuple):
-    source: str  # certificate kind of the instance the stage reads
-    target: str  # certificate kind of the instance it writes
-    lift: Callable  # (target certificate, mapping) -> source certificate
-
-
-def _stages() -> dict[str, _Stage]:
-    """Reduction stage -> the certificate kinds on both sides of it and the
-    lift that undoes it.  Built per call, as _certs() is."""
-    return {
-        "sat2ss": _Stage("v", "x", lift_setsplitting_to_sat),
-        "ss2adp": _Stage("x", "part", lift_adp_to_setsplitting),
-        "adp2lce": _Stage("part", "o", lift_lce_to_adp),
-        "sat2lce": _Stage("v", "o", lift_lce_to_sat),
-    }
+# Reduction stage -> the certificate kinds of the instances it reads and writes.
+_STAGE_KINDS = {
+    "sat2ss": ("v", "x"),
+    "ss2adp": ("x", "part"),
+    "adp2lce": ("part", "o"),
+    "sat2lce": ("v", "o"),
+}
 
 
 def _check_out(kind: str, instance, cert) -> None:
@@ -321,13 +311,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     data, source = _read(args.instance)
     kind = instance_kind(data, source)
-    stage = _stages()[args.stage]
-    reads, writes = _certs()[stage.source], _certs()[stage.target]
+    reads, writes = (_certs()[cert] for cert in _STAGE_KINDS[args.stage])
     if kind != reads.instance:
         raise UsageError(
             f"stage {args.stage} starts from a {reads.instance} instance, got {kind}"
         )
-    reduce = stage_reductions()[args.stage]
+    reduce = stage_reductions()[args.stage].reduce
     out_obj, mapping = reduce(reads.parse_instance(data, source))
     _emit(writes.serialize_instance(out_obj), args.out)
     if args.map is not None:
@@ -344,12 +333,12 @@ def _cmd_lift(args: argparse.Namespace) -> int:
     map_data, map_source = _read(args.mapping)
     cert_data, cert_source = _read(args.cert)
     stage, source_inst, reduced_inst, mapping = read_mapping(map_data, map_source)
-    row = _stages()[stage]
+    lifted_kind, reduced_kind = _STAGE_KINDS[stage]
     cert = _cert_kind(cert_data, cert_source)
-    if cert != row.target:
+    if cert != reduced_kind:
         raise UsageError(
-            f"the {stage} mapping lifts {_certs()[row.target].name} "
-            f"certificates ('{row.target}' lines), not '{cert}'"
+            f"the {stage} mapping lifts {_certs()[reduced_kind].name} "
+            f"certificates ('{reduced_kind}' lines), not '{cert}'"
         )
     spec = _certs()[cert]
     reduced = spec.parse(cert_data, cert_source)
@@ -359,7 +348,8 @@ def _cmd_lift(args: argparse.Namespace) -> int:
     if problem is not None:
         print(f"INVALID: {problem}")
         return 1
-    return _emit_checked(row.source, source_inst, row.lift(reduced, mapping), args.out)
+    lift = stage_reductions()[stage].lift
+    return _emit_checked(lifted_kind, source_inst, lift(reduced, mapping), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_reduce = sub.add_parser("reduce", help="translate an instance one stage down")
-    p_reduce.add_argument("stage", choices=tuple(_stages()))
+    p_reduce.add_argument("stage", choices=tuple(_STAGE_KINDS))
     p_reduce.add_argument("instance", help="source instance file")
     p_reduce.add_argument("--out", help="write the produced instance here")
     p_reduce.add_argument("--map", help="write the reduction mapping here")

@@ -285,9 +285,6 @@ def verify_embedding(g: SignedGraph, ordering: Ordering) -> VerificationResult:
     """
     _check_covers(ordering, g.n)
     n = g.n
-    if n == 0:
-        return VALID
-
     rank = np.zeros(n + 1, dtype=np.int64)  # rank[v] of v, index 0 unused
     rank[list(ordering.seq)] = np.arange(1, n + 1)
     hi = np.int64(n + 1)

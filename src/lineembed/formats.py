@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import Ordering, SignedGraph, _build_from_arrays, _pair_array
 from .core import _complement_pairs, is_complete
-from .errors import LineEmbedError, ParseError
+from .errors import CapExceededError, LineEmbedError, ParseError
 from .intervals import IntervalModel
 from .reductions import (
     AdpToLceMapping,
@@ -93,11 +93,11 @@ def _int(token: str, source: Optional[str], line: int) -> int:
 
 @contextmanager
 def _as_parse_error(source: Optional[str], line: Optional[int]) -> Iterator[None]:
-    """Re-raise a LineEmbedError from the block, other than a ParseError, as
-    a ParseError at source:line."""
+    """Re-raise a LineEmbedError from the block, other than a ParseError or
+    a memory refusal (CapExceededError), as a ParseError at source:line."""
     try:
         yield
-    except ParseError:
+    except (ParseError, CapExceededError):
         raise
     except LineEmbedError as exc:
         raise ParseError(str(exc), source, line) from exc
@@ -269,8 +269,6 @@ def parse_signed_graph(text: Text, source: Optional[str] = None) -> SignedGraph:
 
     lines = _tokenized(numbered(range(len(ends) + 1)))
     hdr_no, (n, m_pos, m_neg) = _header(lines, "sg", 3, source)
-    fast = np.searchsorted(canon, hdr_no)
-    canon, plus, edges = canon[fast:], plus[fast:], edges[fast:]
     slow_at = np.ones(len(ends) + 1, bool)
     slow_at[:hdr_no] = slow_at[canon] = False
     lines = _tokenized(numbered(np.flatnonzero(slow_at).tolist()))
@@ -669,7 +667,7 @@ def read_mapping(
     stage = "sat2lce" if first == "sat2ss" and rest.startswith("map ss2adp\n") else first
     try:
         instance = _SOURCES[first](list(enumerate(written.splitlines(), start=2)), source)
-        reduced, mapping = stage_reductions()[stage](instance)
+        reduced, mapping = stage_reductions()[stage].reduce(instance)
         if serialize_mapping(mapping) == text:
             return stage, instance, reduced, mapping
     except (KeyError, LineEmbedError):
@@ -695,7 +693,7 @@ def read_mapping(
     stage = first if len(stages) == 1 else "sat2lce"
     with _as_parse_error(source, hdr_no):
         instance = _SOURCES[first](body, source)
-        reduced, mapping = stage_reductions()[stage](instance)
+        reduced, mapping = stage_reductions()[stage].reduce(instance)
     # None stands for the end of the mapping, so a short or long file differs.
     want = serialize_mapping(mapping).split("\n")[:-1] + [None]
     got = [line for _, line in lines] + [None]

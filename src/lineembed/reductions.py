@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -543,12 +543,18 @@ def lift_lce_to_sat(ordering: Ordering, mapping: SatToLceMapping) -> Assignment:
     return lift_setsplitting_to_sat(x, mapping.sat2ss)
 
 
-def stage_reductions() -> dict[str, Callable]:
+class Stage(NamedTuple):
+    reduce: Callable  # source instance -> (reduced instance, mapping)
+    lift: Callable  # (reduced certificate, mapping) -> source certificate
+
+
+def stage_reductions() -> dict[str, Stage]:
     """Stage name, as `reduce` and mapping files spell it -> the reduction
-    it runs.  Built per call, so a function replaced after import is used."""
+    it runs and the lift that undoes it.  Built per call, so a function
+    replaced after import is used."""
     return {
-        "sat2ss": sat_to_setsplitting,
-        "ss2adp": setsplitting_to_adp,
-        "adp2lce": adp_to_lce,
-        "sat2lce": sat_to_lce,
+        "sat2ss": Stage(sat_to_setsplitting, lift_setsplitting_to_sat),
+        "ss2adp": Stage(setsplitting_to_adp, lift_adp_to_setsplitting),
+        "adp2lce": Stage(adp_to_lce, lift_lce_to_adp),
+        "sat2lce": Stage(sat_to_lce, lift_lce_to_sat),
     }

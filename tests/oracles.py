@@ -369,7 +369,7 @@ def read_mapping_by_lines(text, source=None):
     stage = first if len(stages) == 1 else "sat2lce"
     try:
         instance = _SOURCES[first](body, source)
-        reduced, mapping = stage_reductions()[stage](instance)
+        reduced, mapping = stage_reductions()[stage].reduce(instance)
     except ParseError:
         raise
     except LineEmbedError as exc:

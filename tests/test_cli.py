@@ -476,6 +476,13 @@ class TestReduce:
         assert gadget.read_bytes() == (GOLDEN / "xyz.sat2lce.sg").read_bytes()
         assert mapping.read_bytes() == (GOLDEN / "xyz.sat2lce.map").read_bytes()
 
+    def test_parse_error_names_the_instance_file(self, tmp_path, capsys) -> None:
+        """Fails if the instance is parsed under any name but its path."""
+        inst = write(tmp_path, "f.cnf", "p cnf 2 1\n1 2\n")
+        rc, out, err = run(capsys, "reduce", "sat2ss", inst)
+        assert (rc, out) == (3, "")
+        assert err == f"error: {inst}:2: clause line must end with 0\n"
+
     def test_self_loop_is_usage_error(self, tmp_path, capsys) -> None:
         inst = write(tmp_path, "loop.dg", "p dg 1 1\na 1 1\n")
         rc, _, err = run(capsys, "reduce", "adp2lce", inst)
@@ -525,10 +532,10 @@ class TestReduce:
 
 
     def test_gadget_arrays_refused_before_they_are_built(self, tmp_path) -> None:
-        """A gadget just under 2^31 vertices can be keyed, but its edge arrays
-        are predicted not to fit the memory limit: exit 4 naming the gadget
-        before numpy is asked for them.  Fails if the MemoryError safety net
-        is what stops it."""
+        """A gadget just under 2^31 vertices, whose edge arrays are predicted
+        not to fit the memory limit: exit 4 naming the gadget before numpy
+        is asked for them.  Fails if the MemoryError safety net is what
+        stops it."""
         inst = write(tmp_path, "big.dg", "p dg 2147483000 0\n")
         proc = run_under_limit(AS_LIMIT, "reduce", "adp2lce", inst)
         assert proc.returncode == 4 and proc.stdout == ""
@@ -619,6 +626,26 @@ class TestLift:
         calls = count_calls(monkeypatch, lineembed.reductions, "adp_to_lce")
         assert run(capsys, "lift", mapping, cert) == (0, "v 1 0\n", "")
         assert len(calls) == 1
+
+    def test_memory_refusal_of_the_mapping_rebuild_exits_four(
+        self, tmp_path, capsys, monkeypatch
+    ) -> None:
+        """lift reduces its mapping's source again; a memory refusal there
+        exits 4 with reduce's own text.  Fails if the refusal is reported as
+        a parse error at the mapping's first line (exit 3)."""
+        text = "p cnf 3 2\n1 2 0\n-1 3 0\n"
+        inst = write(tmp_path, "f.cnf", text)
+        mapping = str(tmp_path / "f.map")
+        assert run(capsys, "reduce", "sat2lce", inst, "--map", mapping)[0] == 0
+        _, chain = sat_to_lce(parse_cnf(text))
+        x = sat_solution_to_setsplitting(Assignment((True, True, True)), chain.sat2ss)
+        part = setsplitting_solution_to_adp(x, chain.ss2adp)
+        ordering = adp_solution_to_lce_ordering(part, chain.adp2lce)
+        cert = write(tmp_path, "f.cert", serialize_ordering_cert(ordering))
+        monkeypatch.setattr(lineembed.core, "_available_bytes", lambda: 1000)
+        rc, out, err = run(capsys, "reduce", "sat2lce", inst)
+        assert (rc, out) == (4, "") and err.startswith("error: the set system of 7 ")
+        assert run(capsys, "lift", mapping, cert) == (4, "", err)
 
     def test_canonical_chain_reads_only_its_first_section(
         self, tmp_path, capsys, monkeypatch
@@ -725,6 +752,7 @@ FAULT_DRIVER = """
 import sys
 from fractions import Fraction
 import lineembed.cli as cli
+import lineembed.reductions as reductions
 from lineembed.core import Ordering
 from lineembed.intervals import IntervalModel
 from lineembed.reductions import Assignment
@@ -743,7 +771,7 @@ if sys.argv[1] == "solver":
 elif sys.argv[1] == "model":
     cli.ordering_to_model = disjoint_intervals
 else:
-    cli.lift_lce_to_sat = all_false
+    reductions.lift_lce_to_sat = all_false
 sys.exit(cli.main(sys.argv[2:]))
 """
 
@@ -1004,6 +1032,35 @@ class TestBenchCommand:
         assert rc == 4 and out == ""
         assert re.search(r"subset DP layer \d+ needs about", err)
         assert "Traceback" not in err
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("dest", ["missing/x", "."], ids=["no-parent", "directory"])
+    @pytest.mark.parametrize(
+        "argv, stdout",
+        [
+            (["solve", "p3.sg", "--out"], ""),
+            (["solve", "p3.sg", "--model"], ""),
+            (
+                ["reduce", "sat2ss", "f.cnf", "--map"],
+                "p ss 7 4\nx special 7\ns 2 1 2\ns 2 3 4\ns 2 5 6\ns 4 1 3 5 7\n",
+            ),
+            (["gen", "random-sg", "--n", "3", "--out"], ""),
+        ],
+        ids=["solve-out", "solve-model", "reduce-map", "gen-out"],
+    )
+    def test_exit_two_with_one_line(
+        self, tmp_path, capsys, monkeypatch, dest, argv, stdout
+    ) -> None:
+        """An output that cannot be written exits 2 naming it, as an input
+        that cannot be read does; `reduce` has written its instance by then.
+        Fails if the OSError escapes as a traceback."""
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "p3.sg", P3_TEXT)
+        write(tmp_path, "f.cnf", XYZ_TEXT)
+        rc, out, err = run(capsys, *argv, dest)
+        assert (rc, out) == (2, stdout)
+        assert err.startswith(f"error: cannot write {dest}: ") and err.count("\n") == 1
 
 
 class TestArgparseBehaviour:

@@ -73,7 +73,7 @@ def base_files() -> dict[str, bytes]:
     }
     truth = Assignment((True, True, True))
     for stage, instance in source.items():
-        mapping = stage_reductions()[stage](instance)[1]
+        mapping = stage_reductions()[stage].reduce(instance)[1]
         files[f"{stage}.map"] = serialize_mapping(mapping)
         if stage == "sat2ss":
             cert = serialize_splitter_cert(sat_solution_to_setsplitting(truth, mapping))

@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from lineembed.bench import BenchReport, bench_instance, run_bench
+from lineembed.solvers import BenchReport, bench_instance, run_bench
 from lineembed.core import Graph, build_signed_graph, is_complete, verify_embedding
 from lineembed.errors import GraphError, ReductionError
 from lineembed.formats import (

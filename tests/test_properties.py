@@ -4,7 +4,8 @@ reference parser, the array constructor against build_signed_graph and
 both graph forms' text, build_signed_graph against its per-pair copy on
 pairs of every form, the digraph constructor against its per-arc
 reference, each forward reduction's output against its validating builder,
-the ADP gadget's feasibility against the digraph's acyclic partitions, the
+the ADP gadget's feasibility against the digraph's acyclic partitions,
+every satisfying assignment of a CNF through the chain and back, the
 frontier subset DP against the full table, the mapping
 text format of every reduction stage and of the chain, read against the
 per-line reference reader, and the text round trip of every other instance
@@ -65,8 +66,11 @@ from lineembed.reductions import (
     build_partition,
     build_set_system,
     lift_lce_to_adp,
+    lift_lce_to_sat,
+    sat_solution_to_setsplitting,
     sat_to_lce,
     sat_to_setsplitting,
+    setsplitting_solution_to_adp,
     setsplitting_to_adp,
 )
 from lineembed.solvers import solve_subset_dp
@@ -78,6 +82,7 @@ from oracles import (
     parse_signed_graph_by_lines,
     reachability_table,
     read_mapping_by_lines,
+    sat_assignments,
     solve_adp_bruteforce,
     table_ordering,
 )
@@ -383,10 +388,10 @@ def test_digraph_constructor_matches_per_arc_reference(case) -> None:
 
 
 @st.composite
-def cnfs(draw):
+def cnfs(draw, max_clauses=4):
     num_vars = draw(st.integers(0, 4))
     clauses = []
-    for _ in range(draw(st.integers(0, 4)) if num_vars else 0):
+    for _ in range(draw(st.integers(0, max_clauses)) if num_vars else 0):
         chosen = st.lists(st.integers(1, num_vars), min_size=1, max_size=3, unique=True)
         clauses.append([v if draw(st.booleans()) else -v for v in draw(chosen)])
     return build_cnf(num_vars, clauses)
@@ -452,6 +457,22 @@ def test_adp_gadget_feasible_exactly_when_digraph_partitions(digraph) -> None:
     if part is not None:
         assert adp_violation(digraph, lift_lce_to_adp(ordering, mapping)) is None
         assert verify_embedding(g, adp_solution_to_lce_ordering(part, mapping))
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(cnfs(max_clauses=5))
+def test_every_satisfying_assignment_maps_to_a_gadget_ordering_and_back(cnf) -> None:
+    """Each satisfying assignment, mapped forward through the three stages,
+    gives a gadget ordering that verifies, and lifting it gives the same
+    assignment back.  Fails if the splitter holds the false literals."""
+    g, mapping = sat_to_lce(cnf)
+    for truth in sat_assignments(cnf.num_vars, cnf.clauses):
+        assignment = Assignment(tuple(truth[v] for v in range(1, cnf.num_vars + 1)))
+        x = sat_solution_to_setsplitting(assignment, mapping.sat2ss)
+        part = setsplitting_solution_to_adp(x, mapping.ss2adp)
+        ordering = adp_solution_to_lce_ordering(part, mapping.adp2lce)
+        assert verify_embedding(g, ordering)
+        assert lift_lce_to_sat(ordering, mapping) == assignment
 
 
 # One strategy per stage and one for the chain, each giving the mapping
