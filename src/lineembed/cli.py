@@ -358,28 +358,20 @@ def _cmd_lift(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.kind == "random-sg":
-        g = gen_random_signed_graph(args.n, args.p_pos, args.p_neg, args.seed)
-        comment = (
-            f"c random-sg n={args.n} p-pos={args.p_pos} "
-            f"p-neg={args.p_neg} seed={args.seed}\n"
-        )
-        body = serialize_signed_graph(g)
-    elif args.kind == "planted-complete":
-        spread = args.spread if args.spread is not None else max(args.n / 4.0, 1.0)
-        g = gen_planted_complete(args.n, spread, args.seed)
-        comment = (
-            f"c planted-complete n={args.n} spread={spread} seed={args.seed}\n"
-        )
-        body = serialize_signed_graph(g)
-    else:
-        cnf = gen_random_cnf(args.vars, args.clauses, args.seed)
-        comment = (
-            f"c random-cnf vars={args.vars} clauses={args.clauses} "
-            f"seed={args.seed}\n"
-        )
-        body = serialize_cnf(cnf)
-    _emit(comment + body, args.out)
+    # kind -> (generator, serializer, its options in argument order), built
+    # per call as _certs() is, so a function replaced after import is used.
+    generate, serialize, names = {
+        "random-sg": (gen_random_signed_graph, serialize_signed_graph,
+                      ("n", "p_pos", "p_neg", "seed")),
+        "planted-complete": (gen_planted_complete, serialize_signed_graph,
+                             ("n", "spread", "seed")),
+        "random-cnf": (gen_random_cnf, serialize_cnf, ("vars", "clauses", "seed")),
+    }[args.kind]
+    if args.kind == "planted-complete" and args.spread is None:
+        args.spread = max(args.n / 4.0, 1.0)
+    values = [getattr(args, name) for name in names]
+    fields = " ".join(f"{name.replace('_', '-')}={v}" for name, v in zip(names, values))
+    _emit(f"c {args.kind} {fields}\n" + serialize(generate(*values)), args.out)
     return 0
 
 
@@ -467,23 +459,18 @@ def _build_parser() -> argparse.ArgumentParser:
     g_sg.add_argument("--n", type=int, required=True)
     g_sg.add_argument("--p-pos", type=float, default=0.25)
     g_sg.add_argument("--p-neg", type=float, default=0.25)
-    g_sg.add_argument("--seed", type=int, default=0)
-    g_sg.add_argument("--out")
-    g_sg.set_defaults(func=_cmd_gen)
     g_pc = gen_sub.add_parser(
         "planted-complete", help="complete instance with a planted solution"
     )
     g_pc.add_argument("--n", type=int, required=True)
     g_pc.add_argument("--spread", type=float, help="default n/4")
-    g_pc.add_argument("--seed", type=int, default=0)
-    g_pc.add_argument("--out")
-    g_pc.set_defaults(func=_cmd_gen)
     g_cnf = gen_sub.add_parser("random-cnf", help="random clauses of width 1..3")
     g_cnf.add_argument("--vars", type=int, required=True)
     g_cnf.add_argument("--clauses", type=int, required=True)
-    g_cnf.add_argument("--seed", type=int, default=0)
-    g_cnf.add_argument("--out")
-    g_cnf.set_defaults(func=_cmd_gen)
+    for g_kind in (g_sg, g_pc, g_cnf):
+        g_kind.add_argument("--seed", type=int, default=0)
+        g_kind.add_argument("--out")
+        g_kind.set_defaults(func=_cmd_gen)
 
     p_bench = sub.add_parser(
         "bench",

@@ -271,71 +271,45 @@ VALID = VerificationResult()
 
 
 def verify_embedding(g: SignedGraph, ordering: Ordering) -> VerificationResult:
-    """Check the two embedding conditions for every vertex.
+    """Check the two embedding conditions for every vertex, in rank space.
 
-    Decision runs in O(n + m) array passes: a violation on the left of u
-    exists iff some positive neighbour of u sits strictly left of some
-    negative neighbour of u, both left of u, i.e. iff
-    min rank(positive left nbr) < max rank(negative left nbr); mirrored on
-    the right.  On failure, returns the first violation ordered by vertex u,
-    then side (left before right), then u2, then u1.  Neither the verdict
-    nor that witness depends on the order of the rows in pos_array and
-    neg_array: the per-vertex extremes are order-free reductions, and the
-    witness is searched in the sorted adjacency lists.
+    One array pass per sign: an edge with end ranks lo < hi puts lo on hi's
+    left and hi on lo's right.  The vertex at rank r fails on its left iff
+    its farthest positive neighbour there sits left of its nearest negative
+    one, pos_left[r] < neg_left[r]; mirrored on the right.  The witness is
+    the first violation by vertex u, then side (left first), then u2, then
+    u1, searched in u's sorted neighbour lists, so neither it nor the
+    verdict depends on the order of the edge arrays' rows.
     """
     _check_covers(ordering, g.n)
     n = g.n
-    rank = np.zeros(n + 1, dtype=np.int64)  # rank[v] of v, index 0 unused
-    rank[list(ordering.seq)] = np.arange(1, n + 1)
-    hi = np.int64(n + 1)
-
-    def _side_extremes(arr: np.ndarray, far: bool) -> tuple[np.ndarray, np.ndarray]:
-        # For each vertex, the rank of its farthest (far=True) or nearest
-        # (far=False) neighbour in arr on its left, and likewise on its right.
-        centers = np.concatenate([arr[:, 0], arr[:, 1]])
-        o_rank = rank[np.concatenate([arr[:, 1], arr[:, 0]])]
-        left = o_rank < rank[centers]
-        ops = (np.minimum, np.maximum) if far else (np.maximum, np.minimum)
-        left_ext = np.full(n + 1, hi if far else 0, dtype=np.int64)
-        right_ext = np.full(n + 1, 0 if far else hi, dtype=np.int64)
-        ops[0].at(left_ext, centers[left], o_rank[left])
-        ops[1].at(right_ext, centers[~left], o_rank[~left])
-        return left_ext, right_ext
-
-    min_pos_left, max_pos_right = _side_extremes(g.pos_array, far=True)
-    max_neg_left, min_neg_right = _side_extremes(g.neg_array, far=False)
-
-    left_bad = min_pos_left < max_neg_left
-    right_bad = max_pos_right > min_neg_right
-    bad = left_bad | right_bad
-    bad[0] = False
+    seq = np.array(ordering.seq, np.int64)
+    rank = np.zeros(n + 1, np.int64)  # rank[v] of v, index 0 unused
+    rank[seq] = np.arange(1, n + 1)
+    # Rows pos_left, pos_right, neg_left, neg_right by rank; no start reads bad.
+    ext = np.full((4, n + 1), [[n + 1], [0], [0], [n + 1]], np.int64)
+    for arr, k, ops in ((g.pos_array, 0, (np.minimum, np.maximum)),
+                        (g.neg_array, 2, (np.maximum, np.minimum))):
+        a, b = rank[arr.T]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        ops[0].at(ext[k], hi, lo)
+        ops[1].at(ext[k + 1], lo, hi)
+    pos_left, pos_right, neg_left, neg_right = ext
+    left_bad = pos_left < neg_left
+    bad = left_bad | (pos_right > neg_right)
     if not bad.any():
         return VALID
-
-    u = int(np.argmax(bad))
-    side = "left" if left_bad[u] else "right"
-    return VerificationResult(_first_violation(g, rank, u, side))
-
-
-def _first_violation(
-    g: SignedGraph, rank: np.ndarray, u: int, side: str
-) -> Violation:
-    """Smallest u2 then u1 (by vertex id) witnessing u's violation.  u's
-    neighbours are read off the edge arrays, so no edge set is built."""
-    ru = rank[u]
+    u = int(seq[np.flatnonzero(bad) - 1].min())
+    ru = int(rank[u])
+    side = "left" if left_bad[ru] else "right"
     pos_nbrs, neg_nbrs = (
         sorted(a[a[:, 0] == u, 1].tolist() + a[a[:, 1] == u, 0].tolist())
         for a in (g.pos_array, g.neg_array)
     )
-    if side == "left":
-        best_pos = min(rank[w] for w in pos_nbrs if rank[w] < ru)
-        u2 = next(w for w in neg_nbrs if best_pos < rank[w] < ru)
-        u1 = next(w for w in pos_nbrs if rank[w] < rank[u2])
-    else:
-        best_pos = max(rank[w] for w in pos_nbrs if rank[w] > ru)
-        u2 = next(w for w in neg_nbrs if ru < rank[w] < best_pos)
-        u1 = next(w for w in pos_nbrs if rank[w] > rank[u2])
-    return Violation(u1=int(u1), u2=int(u2), u=u, side=side)
+    far = int((pos_left if side == "left" else pos_right)[ru])
+    u2 = next(w for w in neg_nbrs if min(far, ru) < rank[w] < max(far, ru))
+    u1 = next(w for w in pos_nbrs if (rank[w] < rank[u2]) == (side == "left"))
+    return VerificationResult(Violation(u1=u1, u2=u2, u=u, side=side))
 
 
 def _available_bytes() -> int:

@@ -348,7 +348,8 @@ def read_mapping_by_lines(text, source=None):
     """The mapping reader that compares every content line, spacing
     normalized, with what `reduce --map` writes for the first section's
     source, kept as the reference for the package's byte-equal shortcut.
-    Its section readers are the package's own."""
+    Its section readers are the package's own.  A memory refusal of the
+    source's rebuild is raised as it is, as read_mapping raises it."""
     lines = [(no, " ".join(tokens)) for no, tokens in _content_lines(text)]
     heads = [i for i, (_, line) in enumerate(lines) if line == "p" or line[:2] == "p "]
     if lines and heads[:1] != [0]:
@@ -370,7 +371,7 @@ def read_mapping_by_lines(text, source=None):
     try:
         instance = _SOURCES[first](body, source)
         reduced, mapping = stage_reductions()[stage].reduce(instance)
-    except ParseError:
+    except (ParseError, CapExceededError):
         raise
     except LineEmbedError as exc:
         raise ParseError(str(exc), source, hdr_no) from exc

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import os
 import re
 import subprocess
@@ -928,6 +929,46 @@ class TestCertificateChecks:
 
 
 class TestGen:
+    @pytest.mark.parametrize(
+        "argv, header, digest",
+        [
+            ("random-sg --n 9 --seed 4",
+             "c random-sg n=9 p-pos=0.25 p-neg=0.25 seed=4",
+             "70d3173ddc2554116b28607555f4e655e28f0abc2ea0d119e18aa5c2b40da0f2"),
+            ("random-sg --n 9 --p-pos 0.3 --p-neg 0.1 --seed 7",
+             "c random-sg n=9 p-pos=0.3 p-neg=0.1 seed=7",
+             "ffc54bcdb4f236ac8cce0290d2650b5fd9d67e392ff6065f5b7fdf1940e2d479"),
+            ("planted-complete --n 5 --seed 2",
+             "c planted-complete n=5 spread=1.25 seed=2",
+             "c8a07ca32c0276e2328fa2631a85b22928af5d4cb545b72dfad642907a8c2c8d"),
+            ("planted-complete --n 2 --seed 1",
+             "c planted-complete n=2 spread=1.0 seed=1",
+             "e8e2dedae540fc06e94a8d7bfbc54a1070ec9719c33986707eac0f369c485b7d"),
+            ("planted-complete --n 6 --spread 2.5 --seed 3",
+             "c planted-complete n=6 spread=2.5 seed=3",
+             "9b10429da2748090e25f0646ae7569a02e2c624a134e954467329957b2d5ccd5"),
+            ("random-cnf --vars 5 --clauses 7 --seed 9",
+             "c random-cnf vars=5 clauses=7 seed=9",
+             "9b8ef3bc539df8b2e34fda153483da45aa28637fe6cc6b1c3198cdbf489ddd67"),
+        ],
+        ids=["random-sg", "random-sg-p", "planted-complete", "planted-complete-2",
+             "planted-complete-spread", "random-cnf"],
+    )
+    def test_golden_output(self, capsys, argv, header, digest) -> None:
+        """Every kind's output, comment line and body, byte for byte: the
+        default spread max(n / 4, 1) at n = 5 and at n = 2 included."""
+        rc, out, err = run(capsys, "gen", *argv.split())
+        assert (rc, err, out.split("\n", 1)[0]) == (0, "", header)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_complete_graph_too_large_to_write_refused(self) -> None:
+        """Its G- walk is predicted before the (n + 1)^2 mask is built: exit 4
+        and one line naming the memory, not the MemoryError net's."""
+        proc = run_under_limit(AS_LIMIT, "gen", "planted-complete", "--n", "30000")
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert "MB available" in proc.stderr and "than is available" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
     def test_byte_identical(self, capsys) -> None:
         args = ("gen", "random-sg", "--n", "8", "--seed", "3")
         first = run(capsys, *args)

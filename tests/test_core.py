@@ -19,7 +19,7 @@ from lineembed.core import (
 )
 from lineembed.errors import GraphError, OrderingError
 
-from oracles import SIDE_KEY, naive_feasible, naive_violations, reversed_ordering
+from oracles import SIDE_KEY, naive_violations, reversed_ordering
 
 # The running three-vertex example: a-b, b-c positive, a-c negative,
 # with labels a,b,c = 1,2,3.
@@ -172,12 +172,13 @@ class TestVerify:
         ).valid
 
     def test_exhaustive_small_against_naive(self) -> None:
-        # Every signed graph on up to 4 vertices, every ordering.
+        # Every signed graph on up to 4 vertices, every ordering: the verdict
+        # and, on failure, the first witness.
         for n in range(5):
             for g in all_sign_patterns(n):
                 for seq in itertools.permutations(range(1, n + 1)):
                     got = verify_embedding(g, Ordering.from_seq(seq))
-                    assert got.valid == naive_feasible(g, seq)
+                    assert_matches_naive(got, g, seq)
 
     def test_random_against_naive(self) -> None:
         rng = random.Random(20817)

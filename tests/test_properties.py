@@ -20,9 +20,11 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lineembed.core
 from lineembed.core import (
     Ordering,
     SignedGraph,
@@ -31,7 +33,7 @@ from lineembed.core import (
     build_signed_graph,
     verify_embedding,
 )
-from lineembed.errors import GraphError, ParseError, ReductionError
+from lineembed.errors import CapExceededError, GraphError, ParseError, ReductionError
 from lineembed.formats import (
     parse_assignment_cert,
     parse_cnf,
@@ -682,3 +684,18 @@ def test_mapping_reader_matches_per_line_reference(text) -> None:
     assert mapping_outcome(read_mapping, text) == mapping_outcome(
         read_mapping_by_lines, text
     )
+
+
+@pytest.mark.parametrize("lead", ["", "c note\n"], ids=["as-written", "commented"])
+def test_mapping_readers_raise_the_same_memory_refusal(monkeypatch, lead) -> None:
+    """Both readers raise the source rebuild's CapExceededError with one text;
+    fails if the reference turns it into a ParseError at a line."""
+    cnf = parse_cnf("p cnf 3 2\n1 2 0\n-1 3 0\n")
+    text = lead + serialize_mapping(sat_to_lce(cnf)[1])
+    monkeypatch.setattr(lineembed.core, "_available_bytes", lambda: 1000)
+    said = []
+    for read in (read_mapping, read_mapping_by_lines):
+        with pytest.raises(CapExceededError) as info:
+            read(text, "f.map")
+        said.append(str(info.value))
+    assert said[0] == said[1] and "MB available" in said[0]
