@@ -24,6 +24,7 @@ from .errors import (
 )
 from .formats import (
     _content_lines,
+    _clip,
     instance_kind,
     parse_assignment_cert,
     parse_cnf,
@@ -96,7 +97,7 @@ def _cert_kind(data: bytes, source: str, empty: Optional[str] = None) -> str:
     if kind is None:
         raise ParseError("empty certificate", source)
     if kind not in _certs():
-        raise ParseError(f"unknown certificate line kind {kind!r}", source)
+        raise ParseError(f"unknown certificate line kind {_clip(kind)!r}", source)
     return kind
 
 
@@ -292,7 +293,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     spec = _certs()[cert]
     if kind != spec.instance:
         raise UsageError(
-            f"certificate kind {cert!r} does not apply to instance kind {kind!r}"
+            f"certificate kind {cert!r} does not apply to instance kind {_clip(kind)!r}"
         )
     problem = spec.check(
         spec.parse_instance(inst_data, inst_source),
@@ -314,7 +315,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     reads, writes = (_certs()[cert] for cert in _STAGE_KINDS[args.stage])
     if kind != reads.instance:
         raise UsageError(
-            f"stage {args.stage} starts from a {reads.instance} instance, got {kind}"
+            f"stage {args.stage} starts from a {reads.instance} instance, "
+            f"got {_clip(kind)}"
         )
     reduce = stage_reductions()[args.stage].reduce
     out_obj, mapping = reduce(reads.parse_instance(data, source))
@@ -493,13 +495,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except MemoryError:
-        # The subset DP and every reduction predict their size before
-        # allocating (core._refuse_over); this is the net for the rest.
-        print("error: instance needs more memory than is available", file=sys.stderr)
-        return 4
+        # core._refuse_over predicts sizes before allocating; this net prints
+        # once the handler is left, as its live traceback holds what ran out.
+        pass
     except LineEmbedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), 2)
+    print("error: instance needs more memory than is available", file=sys.stderr)
+    return 4
 
 
 if __name__ == "__main__":

@@ -88,11 +88,16 @@ def _content_lines(text: Text, source: Optional[str]) -> Iterator[tuple[int, lis
         no, start = no + len(block), end + 1
 
 
+def _clip(token: str) -> str:
+    """token for an error text: past 40 characters, its first 40 and its length."""
+    return token if len(token) <= 40 else f"{token[:40]}...[{len(token):,} characters]"
+
+
 def _int(token: str, source: Optional[str], line: int) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ParseError(f"expected an integer, got {token!r}", source, line)
+        raise ParseError(f"expected an integer, got {_clip(token)!r}", source, line)
 
 
 @contextmanager
@@ -247,7 +252,7 @@ def _edge(tokens: list[str], source: Optional[str], no: int) -> tuple[str, int, 
         raise ParseError("expected 'e <sign> <u> <v>'", source, no)
     sign = tokens[1]
     if sign not in ("+", "-"):
-        raise ParseError(f"edge sign must be + or -, got {sign!r}", source, no)
+        raise ParseError(f"edge sign must be + or -, got {_clip(sign)!r}", source, no)
     return sign, _int(tokens[2], source, no), _int(tokens[3], source, no)
 
 
@@ -348,7 +353,7 @@ def parse_set_system(text: Text, source: Optional[str] = None) -> SetSystem:
             special.append(_int(tokens[2], source, no))
             return None
         if tokens[0] != "s":
-            raise ParseError(f"unexpected line kind {tokens[0]!r}", source, no)
+            raise ParseError(f"unexpected line kind {_clip(tokens[0])!r}", source, no)
         if len(tokens) < 2:
             raise ParseError("expected 's <size> <elements...>'", source, no)
         size = _int(tokens[1], source, no)
@@ -423,7 +428,7 @@ def parse_ordering_cert(
 def _fraction(token: str, source: Optional[str], line: int) -> Fraction:
     num, sep, den = token.partition("/")
     if not sep:
-        raise ParseError(f"expected <num>/<den>, got {token!r}", source, line)
+        raise ParseError(f"expected <num>/<den>, got {_clip(token)!r}", source, line)
     d = _int(den, source, line)
     if d <= 0:
         raise ParseError(f"denominator must be positive, got {d}", source, line)
@@ -689,7 +694,7 @@ def read_mapping(
         if len(tokens) != 3 or tokens[1] != "map":
             raise ParseError("expected 'p map <stage>' header", source, no)
         if tokens[2] not in _SOURCES:
-            raise ParseError(f"unknown mapping stage {tokens[2]!r}", source, no)
+            raise ParseError(f"unknown mapping stage {_clip(tokens[2])!r}", source, no)
         sections.append((tokens[2], no, lines[i + 1 : end]))
     stages = [stage for stage, _, _ in sections]
     if len(stages) != 1 and stages != ["sat2ss", "ss2adp", "adp2lce"]:
@@ -705,7 +710,9 @@ def read_mapping(
     got = [line for _, line in lines] + [None]
     if got != want:
         i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
-        said = [repr(x) if x else "the end of the mapping" for x in (want[i], got[i])]
+        said = [
+            repr(_clip(x)) if x else "the end of the mapping" for x in (want[i], got[i])
+        ]
         no = lines[min(i, len(lines) - 1)][0]
         raise ParseError("expected {}, got {}".format(*said), source, no)
     return stage, instance, reduced, mapping

@@ -71,52 +71,26 @@ def solve_bruteforce(g: SignedGraph, cap: int = BRUTE_FORCE_CAP) -> Optional[Ord
         raise CapExceededError(f"n={n} exceeds the brute-force recursion reach {reach}")
     if n == 0:
         return Ordering(())
-    pos_nbrs, neg_nbrs = Graph(n, g.pos).adj, Graph(n, g.neg).adj
-    rank = [0] * (n + 1)  # 0 = unplaced
-    neg_after = [0] * (n + 1)  # placed negative neighbours to the right
+    pos, neg = ([sum(1 << w for w in a) for a in Graph(n, e).adj] for e in (g.pos, g.neg))
     seq: list[int] = []
 
-    def extend() -> bool:
-        k = len(seq) + 1
+    def extend(placed: int, seen: int, doomed: int, closed: int) -> bool:
+        """Complete seq from a prefix with these vertex masks: placed; seen,
+        those with a placed positive neighbour; doomed, those with a negative
+        neighbour placed after such a one, which would close the left pattern;
+        closed, the placed vertices with a negative neighbour placed after
+        them, whose positive neighbours would close the right pattern."""
         for u in range(1, n + 1):
-            if rank[u]:
+            if (placed | doomed) >> u & 1 or pos[u] & closed:
                 continue
-            # Left pattern closing at u: a placed positive neighbour before
-            # a placed negative neighbour.
-            min_pos = n + 1
-            for w in pos_nbrs[u]:
-                r = rank[w]
-                if r and r < min_pos:
-                    min_pos = r
-            skip = False
-            for w in neg_nbrs[u]:
-                if min_pos < rank[w]:
-                    skip = True
-                    break
-            if skip:
-                continue
-            # Right pattern closing at u as the far positive endpoint.
-            for w in pos_nbrs[u]:
-                if rank[w] and neg_after[w]:
-                    skip = True
-                    break
-            if skip:
-                continue
-            rank[u] = k
             seq.append(u)
-            for w in neg_nbrs[u]:
-                if rank[w] and rank[w] < k:
-                    neg_after[w] += 1
-            if k == n or extend():
+            if len(seq) == n or extend(placed | 1 << u, seen | pos[u],
+                                       doomed | neg[u] & seen, closed | neg[u] & placed):
                 return True
-            for w in neg_nbrs[u]:
-                if rank[w] and rank[w] < k:
-                    neg_after[w] -= 1
             seq.pop()
-            rank[u] = 0
         return False
 
-    return Ordering.from_seq(seq) if extend() else None
+    return Ordering.from_seq(seq) if extend(0, 0, 0, 0) else None
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +281,7 @@ def solve_subset_dp(g: SignedGraph, cap: int = SUBSET_DP_CAP) -> Optional[Orderi
     have = _available_bytes()
     _refuse_over(_BYTES_PER_VERTEX * n, f"the subset DP on {n} vertices", have)
     pos_adj, neg_adj = Graph(n, g.pos).adj, Graph(n, g.neg).adj
-    comps = _components(n, Graph(n, g.pos | g.neg).adj)
+    comps = _components(n, [p + q for p, q in zip(pos_adj, neg_adj)])
     tables: list[list[tuple[np.ndarray, np.ndarray]]] = []
     held = 0  # bytes of the layers in tables
     for verts in comps:

@@ -250,11 +250,19 @@ def _content_lines(text):
         yield no, tokens
 
 
+def _clip(token):
+    """A token as error texts quote it: whole up to 40 characters, else its
+    first 40 and its length."""
+    if len(token) <= 40:
+        return token
+    return f"{token[:40]}...[{len(token):,} characters]"
+
+
 def _int(token, source, line):
     try:
         return int(token)
     except ValueError:
-        raise ParseError(f"expected an integer, got {token!r}", source, line)
+        raise ParseError(f"expected an integer, got {_clip(token)!r}", source, line)
 
 
 def _header(lines, kind, count, source):
@@ -286,7 +294,7 @@ def parse_signed_graph_by_lines(text, source=None):
             raise ParseError("expected 'e <sign> <u> <v>'", source, no)
         sign = tokens[1]
         if sign not in ("+", "-"):
-            raise ParseError(f"edge sign must be + or -, got {sign!r}", source, no)
+            raise ParseError(f"edge sign must be + or -, got {_clip(sign)!r}", source, no)
         u = _int(tokens[2], source, no)
         v = _int(tokens[3], source, no)
         (pos if sign == "+" else neg).append((u, v))
@@ -360,7 +368,7 @@ def read_mapping_by_lines(text, source=None):
         if len(tokens) != 3 or tokens[1] != "map":
             raise ParseError("expected 'p map <stage>' header", source, no)
         if tokens[2] not in _SOURCES:
-            raise ParseError(f"unknown mapping stage {tokens[2]!r}", source, no)
+            raise ParseError(f"unknown mapping stage {_clip(tokens[2])!r}", source, no)
         sections.append((tokens[2], no, lines[i + 1 : end]))
     stages = [stage for stage, _, _ in sections]
     if len(stages) != 1 and stages != ["sat2ss", "ss2adp", "adp2lce"]:
@@ -380,7 +388,7 @@ def read_mapping_by_lines(text, source=None):
     got = [line for _, line in lines] + [None]
     if got != want:
         i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
-        said = [repr(x) if x else "the end of the mapping" for x in (want[i], got[i])]
+        said = [repr(_clip(x)) if x else "the end of the mapping" for x in (want[i], got[i])]
         no = lines[min(i, len(lines) - 1)][0]
         raise ParseError("expected {}, got {}".format(*said), source, no)
     return stage, instance, reduced, mapping

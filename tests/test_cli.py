@@ -407,6 +407,45 @@ def test_repeated_vertex_in_a_large_ordering_is_named(tmp_path, capsys, command)
     assert f"{n} vertices" in err and "vertex 7 repeats" in err
 
 
+class TestLongToken:
+    """A 300,000-character token in any error text is clipped to its first
+    40 characters and its length.  Each case fails if the text quotes it
+    whole."""
+
+    @pytest.mark.parametrize(
+        "argv, bad, code",
+        [
+            (("verify", "{inst}", "{bad}"), "o 1 2 {long}\n", 3),
+            (("solve", "{bad}"), "p sg 2 1 0\ne {long} 1 2\n", 3),
+            (("reduce", "ss2adp", "{bad}"), "p ss 2 1\n{long} 1\n", 3),
+            (("verify", "{inst}", "{bad}"), "i 1 {long} 1/1\ni 2 0/1 1/1\n", 3),
+            (("lift", "{bad}", "{cert}"), "p map {long}\n", 3),
+            (("lift", "{bad}", "{cert}"),
+             "p map adp2lce\nx digraph 1 0\nmap 1 s\nmap {long}\n", 3),
+            (("verify", "{inst}", "{bad}"), "{long} 1\n", 3),
+            (("lift", "{map}", "{bad}"), "{long} 1\n", 3),
+            (("verify", "{bad}", "{cert}"), "p {long} 1 1\n", 2),
+            (("reduce", "sat2ss", "{bad}"), "p {long} 1 1\n", 2),
+        ],
+        ids=["integer", "edge-sign", "set-system-line-kind", "fraction", "mapping-stage",
+             "mapping-line", "verify-certificate-kind", "lift-certificate-kind",
+             "verify-instance-kind", "reduce-instance-kind"],
+    )
+    def test_one_short_line(self, tmp_path, capsys, argv, bad, code) -> None:
+        files = {
+            "bad": write(tmp_path, "bad", bad.format(long="x" * 300_000)),
+            "inst": write(tmp_path, "p.sg", "p sg 2 1 0\ne + 1 2\n"),
+            "cert": write(tmp_path, "o.cert", "o 1 2\n"),
+            "map": write(
+                tmp_path, "d.map", "p map adp2lce\nx digraph 1 0\nmap 1 s\nmap 2 align 1\n"
+            ),
+        }
+        rc, out, err = run(capsys, *(arg.format(**files) for arg in argv))
+        assert (rc, out) == (code, "")
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+        assert re.search(r"x{36}\.\.\.\[300,00\d characters\]'?$", err)
+
+
 class TestUndecodableInput:
     """A byte that is not UTF-8 is a parse error at its line, in any file
     any command reads.  Each case fails if the decoder's traceback escapes."""
@@ -968,6 +1007,17 @@ class TestGen:
         assert proc.returncode == 4 and proc.stdout == ""
         assert "MB available" in proc.stderr and "than is available" not in proc.stderr
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    def test_memory_net_prints_one_line(self, tmp_path) -> None:
+        """30 million clauses run out of memory in the generator, which
+        predicts nothing: exit 4 with the net's one line, not a chained
+        MemoryError traceback from printing it."""
+        out = tmp_path / "f.cnf"
+        argv = ("gen", "random-cnf", "--vars", "3", "--clauses", "30000000", "--out", str(out))
+        proc = run_under_limit(AS_LIMIT, *argv)
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert proc.stderr == "error: instance needs more memory than is available\n"
+        assert not out.exists()
 
     def test_byte_identical(self, capsys) -> None:
         args = ("gen", "random-sg", "--n", "8", "--seed", "3")
